@@ -143,24 +143,67 @@ void BM_RidgeModelPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_RidgeModelPredict);
 
-void BM_IpsPerPoint(benchmark::State& state) {
-  // Marginal cost of adding one exploration point to an IPS evaluation.
-  util::Rng rng(4);
-  core::ExplorationDataset data(9, {0.0, 1.0});
-  for (int i = 0; i < 4096; ++i) {
-    data.add({make_context(8, rng),
-              static_cast<core::ActionId>(rng.uniform_index(9)),
-              rng.uniform(), 1.0 / 9});
+/// The per-point estimator benches' inputs, at ope-replay's shape (K=9,
+/// D=8): 4096 uniformly logged points, a ridge model fit on them, and the
+/// candidates scored offline — constant (arg 0), ridge-greedy (arg 1) and
+/// eps-greedy(0.1) over it (arg 2).
+struct PerPointFixture {
+  core::ExplorationDataset data{9, {0.0, 1.0}};
+  std::shared_ptr<const core::RidgeRewardModel> ridge;
+  std::vector<core::PolicyPtr> candidates;
+
+  PerPointFixture() {
+    util::Rng rng(4);
+    for (int i = 0; i < 4096; ++i) {
+      data.add({make_context(8, rng),
+                static_cast<core::ActionId>(rng.uniform_index(9)),
+                rng.uniform(), 1.0 / 9});
+    }
+    ridge = std::make_shared<const core::RidgeRewardModel>(
+        core::fit_ridge(data, 1.0, /*importance_weighted=*/true));
+    const auto greedy = std::make_shared<const core::GreedyPolicy>(ridge);
+    candidates = {std::make_shared<const core::ConstantPolicy>(9, 2), greedy,
+                  std::make_shared<const core::EpsilonGreedyPolicy>(greedy,
+                                                                    0.1)};
   }
-  const core::ConstantPolicy policy(9, 2);
-  const core::IpsEstimator ips;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ips.evaluate(data, policy).value);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          4096);
+};
+
+const PerPointFixture& per_point_fixture() {
+  static const PerPointFixture fixture;
+  return fixture;
 }
-BENCHMARK(BM_IpsPerPoint);
+
+/// Marginal cost of one exploration point in an offline evaluation, and the
+/// heap allocations it makes (allocs_per_row: per-call buffers spread over
+/// the rows; 1 or more means the row loop allocates).
+void run_per_point(benchmark::State& state,
+                   const core::OffPolicyEstimator& estimator) {
+  const PerPointFixture& f = per_point_fixture();
+  const core::Policy& policy = *f.candidates.at(
+      static_cast<std::size_t>(state.range(0)));
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const serve::AllocGate gate;
+    benchmark::DoNotOptimize(estimator.evaluate(f.data, policy).value);
+    allocs += gate.delta();
+  }
+  const double rows = static_cast<double>(state.iterations()) *
+                      static_cast<double>(f.data.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(rows));
+  state.counters["allocs_per_row"] = static_cast<double>(allocs) / rows;
+  state.SetLabel(policy.name());
+}
+
+void BM_IpsPerPoint(benchmark::State& state) {
+  run_per_point(state, core::IpsEstimator{});
+}
+BENCHMARK(BM_IpsPerPoint)->DenseRange(0, 2);
+
+void BM_DrPerPoint(benchmark::State& state) {
+  run_per_point(state,
+                core::DoublyRobustEstimator(per_point_fixture().ridge));
+}
+BENCHMARK(BM_DrPerPoint)->DenseRange(0, 2);
 
 void BM_CacheLookupHit(benchmark::State& state) {
   cache::CacheStore store(1 << 20, 5);

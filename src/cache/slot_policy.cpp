@@ -1,5 +1,6 @@
 #include "cache/slot_policy.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -37,8 +38,9 @@ EvictorSlotPolicy::EvictorSlotPolicy(std::shared_ptr<Evictor> evictor,
   if (slots == 0) throw std::invalid_argument("EvictorSlotPolicy: 0 slots");
 }
 
-std::vector<double> EvictorSlotPolicy::distribution(
-    const core::FeatureVector& x) const {
+void EvictorSlotPolicy::distribution_into(const core::FeatureVector& x,
+                                          std::span<double> out) const {
+  check_distribution_size(out);
   if (x.size() != slots_ * ItemMeta::kNumFeatures) {
     throw std::invalid_argument(
         "EvictorSlotPolicy: context size != slots * features");
@@ -50,7 +52,12 @@ std::vector<double> EvictorSlotPolicy::distribution(
     meta.key = s;  // identity is irrelevant to the choice
     candidates.push_back(meta);
   }
-  return evictor_->distribution(candidates, /*now=*/0.0);
+  const std::vector<double> dist =
+      evictor_->distribution(candidates, /*now=*/0.0);
+  if (dist.size() != slots_) {
+    throw std::logic_error("EvictorSlotPolicy: evictor distribution size");
+  }
+  std::copy(dist.begin(), dist.end(), out.begin());
 }
 
 std::string EvictorSlotPolicy::name() const {

@@ -28,8 +28,8 @@ class EvictorSlotPolicy final : public core::Policy {
  public:
   EvictorSlotPolicy(std::shared_ptr<Evictor> evictor, std::size_t slots);
 
-  std::vector<double> distribution(
-      const core::FeatureVector& x) const override;
+  void distribution_into(const core::FeatureVector& x,
+                         std::span<double> out) const override;
   std::string name() const override;
 
  private:

@@ -17,17 +17,17 @@ void check_compatible(const ExplorationDataset& data, const Policy& policy,
     throw std::invalid_argument("evaluate: action-set size mismatch");
   }
 }
+}  // namespace
 
 double expected_model_reward(const RewardModel& model, const Policy& policy,
-                             const FeatureVector& x) {
-  const std::vector<double> dist = policy.distribution(x);
+                             const FeatureVector& x, std::span<double> dist) {
+  policy.distribution_into(x, dist);
   double v = 0;
   for (std::size_t a = 0; a < dist.size(); ++a) {
     if (dist[a] > 0) v += dist[a] * model.predict(x, static_cast<ActionId>(a));
   }
   return v;
 }
-}  // namespace
 
 DirectMethodEstimator::DirectMethodEstimator(RewardModelPtr model)
     : model_(std::move(model)) {
@@ -45,9 +45,10 @@ Estimate DirectMethodEstimator::evaluate(const ExplorationDataset& data,
   std::vector<double> contributions(pts.size());
   par::parallel_for(par::default_pool(), par::ShardPlan::fixed(pts.size()),
                     [&](std::size_t, std::size_t begin, std::size_t end) {
+                      std::vector<double> dist(data.num_actions());
                       for (std::size_t i = begin; i < end; ++i) {
                         contributions[i] = expected_model_reward(
-                            *model_, policy, pts[i].context);
+                            *model_, policy, pts[i].context, dist);
                       }
                     });
   return finish(contributions, data.size(), delta,
@@ -73,10 +74,12 @@ Estimate DoublyRobustEstimator::evaluate(const ExplorationDataset& data,
       par::default_pool(), par::ShardPlan::fixed(pts.size()), Partial{},
       [&](std::size_t, std::size_t begin, std::size_t end) {
         Partial p;
+        std::vector<double> dist(data.num_actions());
         for (std::size_t i = begin; i < end; ++i) {
           const auto& pt = pts[i];
-          const double dm = expected_model_reward(*model_, policy, pt.context);
-          const double pi_a = policy.probability(pt.context, pt.action);
+          const double dm =
+              expected_model_reward(*model_, policy, pt.context, dist);
+          const double pi_a = dist[pt.action];
           if (pi_a > 0) ++p.matched;
           const double w = pi_a / pt.propensity;
           const double correction =

@@ -3,10 +3,19 @@
 // the technique §5 proposes for taming IPS variance.
 #pragma once
 
+#include <span>
+
 #include "core/estimators/estimator.h"
 #include "core/reward_model.h"
 
 namespace harvest::core {
+
+/// sum_a pi(a|x) r̂(x, a) over the actions pi plays: the model term of DM,
+/// DR, SWITCH and the sequence DR. Writes pi(·|x) into `dist` (size
+/// num_actions) on the way, so a caller sweeping a dataset reuses one buffer
+/// per shard and can read pi(a|x) from it afterwards.
+double expected_model_reward(const RewardModel& model, const Policy& policy,
+                             const FeatureVector& x, std::span<double> dist);
 
 /// DM(pi) = 1/N * sum_t sum_a pi(a|x_t) r̂(x_t, a).
 /// Zero variance from action mismatch, but inherits all of the reward

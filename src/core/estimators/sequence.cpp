@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/estimators/direct.h"
 #include "core/estimators/ips.h"
 #include "par/parallel.h"
 #include "stats/summary.h"
@@ -251,19 +252,14 @@ Estimate SequenceDoublyRobustEstimator::evaluate(const TrajectoryDataset& data,
       par::default_pool(), plan, 1e-12,
       [&](std::size_t, std::size_t begin, std::size_t end) {
         double shard_max = 1e-12;
+        std::vector<double> dist(data.num_actions());
         for (std::size_t i = begin; i < end; ++i) {
           const Trajectory& trajectory = data[i];
           double total = 0;
           for (std::size_t t = 0; t < trajectory.horizon(); ++t) {
             const auto& step = trajectory.steps[t];
-            const std::vector<double> dist = policy.distribution(step.context);
-            double v_hat = 0;
-            for (std::size_t a = 0; a < dist.size(); ++a) {
-              if (dist[a] > 0) {
-                v_hat += dist[a] *
-                         model_->predict(step.context, static_cast<ActionId>(a));
-              }
-            }
+            const double v_hat =
+                expected_model_reward(*model_, policy, step.context, dist);
             const double q_hat = model_->predict(step.context, step.action);
             const double w_prev =
                 t == 0 ? 1.0 : normalized(i, t - 1);

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/estimators/direct.h"
 #include "par/parallel.h"
 #include "util/string_util.h"
 
@@ -18,16 +19,6 @@ void check_compatible(const ExplorationDataset& data, const Policy& policy,
       model.num_actions() != data.num_actions()) {
     throw std::invalid_argument("evaluate: action-set size mismatch");
   }
-}
-
-double expected_model_reward(const RewardModel& model, const Policy& policy,
-                             const FeatureVector& x) {
-  const std::vector<double> dist = policy.distribution(x);
-  double v = 0;
-  for (std::size_t a = 0; a < dist.size(); ++a) {
-    if (dist[a] > 0) v += dist[a] * model.predict(x, static_cast<ActionId>(a));
-  }
-  return v;
 }
 }  // namespace
 
@@ -66,6 +57,7 @@ Estimate SwitchEstimator::evaluate(const ExplorationDataset& data,
       par::default_pool(), par::ShardPlan::fixed(pts.size()), Partial{},
       [&](std::size_t, std::size_t begin, std::size_t end) {
         Partial p;
+        std::vector<double> dist(data.num_actions());
         for (std::size_t i = begin; i < end; ++i) {
           const auto& pt = pts[i];
           if (pt.propensity >= tau_) {
@@ -81,7 +73,7 @@ Estimate SwitchEstimator::evaluate(const ExplorationDataset& data,
             ++p.matched;
             ++p.switched;
             contributions[i] =
-                expected_model_reward(*model_, policy, pt.context);
+                expected_model_reward(*model_, policy, pt.context, dist);
             weights[i] = std::numeric_limits<double>::quiet_NaN();
           }
         }

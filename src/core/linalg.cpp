@@ -80,4 +80,14 @@ double dot(std::span<const double> a, std::span<const double> b) {
   return s;
 }
 
+double dot_bias_first(std::span<const double> w, std::span<const double> x) {
+  if (w.size() != x.size() + 1) {
+    throw std::invalid_argument("dot_bias_first: size mismatch");
+  }
+  double s = 0;
+  s += 1.0 * w[0];
+  for (std::size_t i = 0; i < x.size(); ++i) s += x[i] * w[i + 1];
+  return s;
+}
+
 }  // namespace harvest::core

@@ -41,4 +41,10 @@ std::vector<double> cholesky_solve(Matrix a, std::span<const double> b);
 /// Dot product; the two spans must have equal length.
 double dot(std::span<const double> a, std::span<const double> b);
 
+/// w · [1, x] for a bias-first weight row, without building [1, x]: the same
+/// operations in the same order as dot(x.with_bias(), w), so the result is
+/// bit-identical to it. Throws std::invalid_argument unless
+/// w.size() == x.size() + 1.
+double dot_bias_first(std::span<const double> w, std::span<const double> x);
+
 }  // namespace harvest::core

@@ -28,10 +28,10 @@ UniformRandomPolicy::UniformRandomPolicy(std::size_t num_actions)
   }
 }
 
-std::vector<double> UniformRandomPolicy::distribution(
-    const FeatureVector& /*x*/) const {
-  return std::vector<double>(num_actions(),
-                             1.0 / static_cast<double>(num_actions()));
+void UniformRandomPolicy::distribution_into(const FeatureVector& /*x*/,
+                                            std::span<double> out) const {
+  check_distribution_size(out);
+  std::fill(out.begin(), out.end(), 1.0 / static_cast<double>(num_actions()));
 }
 
 ActionId UniformRandomPolicy::act(const FeatureVector& /*x*/,
@@ -57,12 +57,21 @@ EpsilonGreedyPolicy::EpsilonGreedyPolicy(PolicyPtr base, double epsilon)
   }
 }
 
-std::vector<double> EpsilonGreedyPolicy::distribution(
-    const FeatureVector& x) const {
-  std::vector<double> dist = base_->distribution(x);
+void EpsilonGreedyPolicy::distribution_into(const FeatureVector& x,
+                                            std::span<double> out) const {
+  check_distribution_size(out);
+  base_->distribution_into(x, out);
   const double uniform = epsilon_ / static_cast<double>(num_actions());
-  for (double& p : dist) p = (1.0 - epsilon_) * p + uniform;
-  return dist;
+  for (double& p : out) p = (1.0 - epsilon_) * p + uniform;
+}
+
+double EpsilonGreedyPolicy::probability(const FeatureVector& x,
+                                        ActionId a) const {
+  if (a >= num_actions()) {
+    throw std::out_of_range("EpsilonGreedyPolicy::probability");
+  }
+  const double uniform = epsilon_ / static_cast<double>(num_actions());
+  return (1.0 - epsilon_) * base_->probability(x, a) + uniform;
 }
 
 std::string EpsilonGreedyPolicy::name() const {
@@ -81,19 +90,19 @@ SoftmaxPolicy::SoftmaxPolicy(std::size_t num_actions, Scorer scorer,
   }
 }
 
-std::vector<double> SoftmaxPolicy::distribution(const FeatureVector& x) const {
-  std::vector<double> scores(num_actions());
+void SoftmaxPolicy::distribution_into(const FeatureVector& x,
+                                      std::span<double> out) const {
+  check_distribution_size(out);
   for (std::size_t a = 0; a < num_actions(); ++a) {
-    scores[a] = scorer_(x, static_cast<ActionId>(a)) / temperature_;
+    out[a] = scorer_(x, static_cast<ActionId>(a)) / temperature_;
   }
-  const double max_score = *std::max_element(scores.begin(), scores.end());
+  const double max_score = *std::max_element(out.begin(), out.end());
   double total = 0;
-  for (double& s : scores) {
+  for (double& s : out) {
     s = std::exp(s - max_score);
     total += s;
   }
-  for (double& s : scores) s /= total;
-  return scores;
+  for (double& s : out) s /= total;
 }
 
 MixturePolicy::MixturePolicy(std::vector<PolicyPtr> components,
@@ -121,15 +130,17 @@ MixturePolicy::MixturePolicy(std::vector<PolicyPtr> components,
   for (double& w : weights_) w /= total;
 }
 
-std::vector<double> MixturePolicy::distribution(const FeatureVector& x) const {
-  std::vector<double> dist(num_actions(), 0.0);
+void MixturePolicy::distribution_into(const FeatureVector& x,
+                                      std::span<double> out) const {
+  check_distribution_size(out);
+  std::fill(out.begin(), out.end(), 0.0);
+  std::vector<double> d(num_actions());
   for (std::size_t i = 0; i < components_.size(); ++i) {
-    const std::vector<double> d = components_[i]->distribution(x);
-    for (std::size_t a = 0; a < dist.size(); ++a) {
-      dist[a] += weights_[i] * d[a];
+    components_[i]->distribution_into(x, d);
+    for (std::size_t a = 0; a < out.size(); ++a) {
+      out[a] += weights_[i] * d[a];
     }
   }
-  return dist;
 }
 
 std::string MixturePolicy::name() const {

@@ -28,7 +28,8 @@ class UniformRandomPolicy final : public Policy {
  public:
   explicit UniformRandomPolicy(std::size_t num_actions);
 
-  std::vector<double> distribution(const FeatureVector& x) const override;
+  void distribution_into(const FeatureVector& x,
+                         std::span<double> out) const override;
   ActionId act(const FeatureVector& x, util::Rng& rng) const override;
   double probability(const FeatureVector& x, ActionId a) const override;
   std::string name() const override { return "uniform-random"; }
@@ -41,7 +42,10 @@ class EpsilonGreedyPolicy final : public Policy {
  public:
   EpsilonGreedyPolicy(PolicyPtr base, double epsilon);
 
-  std::vector<double> distribution(const FeatureVector& x) const override;
+  void distribution_into(const FeatureVector& x,
+                         std::span<double> out) const override;
+  /// (1 - ε)·base(a|x) + ε/K: the distribution's arithmetic for one action.
+  double probability(const FeatureVector& x, ActionId a) const override;
   std::string name() const override;
   double epsilon() const { return epsilon_; }
 
@@ -60,7 +64,8 @@ class SoftmaxPolicy final : public Policy {
   SoftmaxPolicy(std::size_t num_actions, Scorer scorer, double temperature,
                 std::string name = "softmax");
 
-  std::vector<double> distribution(const FeatureVector& x) const override;
+  void distribution_into(const FeatureVector& x,
+                         std::span<double> out) const override;
   std::string name() const override { return name_; }
 
  private:
@@ -76,7 +81,8 @@ class MixturePolicy final : public Policy {
   MixturePolicy(std::vector<PolicyPtr> components,
                 std::vector<double> weights);
 
-  std::vector<double> distribution(const FeatureVector& x) const override;
+  void distribution_into(const FeatureVector& x,
+                         std::span<double> out) const override;
   std::string name() const override;
 
  private:

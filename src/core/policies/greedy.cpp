@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "core/linalg.h"
+
 namespace harvest::core {
 
 GreedyPolicy::GreedyPolicy(RewardModelPtr model, std::string name)
@@ -39,11 +41,10 @@ LinearPolicy::LinearPolicy(std::vector<std::vector<double>> weights,
 }
 
 ActionId LinearPolicy::choose(const FeatureVector& x) const {
-  const FeatureVector xb = x.with_bias();
   ActionId best = 0;
-  double best_score = xb.dot(weights_[0]);
+  double best_score = dot_bias_first(weights_[0], x.values());
   for (std::size_t a = 1; a < weights_.size(); ++a) {
-    const double s = xb.dot(weights_[a]);
+    const double s = dot_bias_first(weights_[a], x.values());
     if (s > best_score) {
       best_score = s;
       best = static_cast<ActionId>(a);

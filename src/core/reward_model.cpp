@@ -80,7 +80,7 @@ double RidgeRewardModel::predict(const FeatureVector& x, ActionId a) const {
   if (!pa.fitted) {
     throw std::logic_error("RidgeRewardModel::predict before fit()");
   }
-  return x.with_bias().dot(pa.coef);
+  return dot_bias_first(pa.coef, x.values());
 }
 
 const std::vector<double>& RidgeRewardModel::weights(ActionId a) const {
@@ -141,7 +141,7 @@ double SgdRewardModel::predict(const FeatureVector& x, ActionId a) const {
   if (a >= weights_.size()) {
     throw std::out_of_range("SgdRewardModel::predict: bad action");
   }
-  return x.with_bias().dot(weights_[a]);
+  return dot_bias_first(weights_[a], x.values());
 }
 
 // Both fitters accumulate X^T W X / X^T W y in per-shard models and merge

@@ -139,7 +139,7 @@ class FrozenLinUcbModel final : public RewardModel {
   FrozenLinUcbModel(std::vector<std::vector<double>> thetas)
       : thetas_(std::move(thetas)) {}
   double predict(const FeatureVector& x, ActionId a) const override {
-    return x.with_bias().dot(thetas_.at(a));
+    return dot_bias_first(thetas_.at(a), x.values());
   }
   std::size_t num_actions() const override { return thetas_.size(); }
   std::string name() const override { return "linucb-frozen"; }

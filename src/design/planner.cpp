@@ -71,8 +71,13 @@ std::size_t greedy_stratum(const std::vector<double>& weights,
 void neyman_row(std::span<const double> cost, double floor,
                 std::span<const double> fallback, std::span<double> q) {
   const std::size_t k = cost.size();
+  // q holds sqrt(max(cost, 0)) until the final allocation overwrites it, so
+  // the bisection below reads each root instead of recomputing it per step.
   double total_sqrt = 0;
-  for (double c : cost) total_sqrt += std::sqrt(std::max(c, 0.0));
+  for (std::size_t a = 0; a < k; ++a) {
+    q[a] = std::sqrt(std::max(cost[a], 0.0));
+    total_sqrt += q[a];
+  }
   if (!(total_sqrt > 0)) {
     std::copy(fallback.begin(), fallback.end(), q.begin());
     return;
@@ -92,9 +97,7 @@ void neyman_row(std::span<const double> cost, double floor,
   hi = total_sqrt / slack;  // every coordinate at/below its floor share
   auto mass = [&](double nu) {
     double m = 0;
-    for (double c : cost) {
-      m += std::max(floor, std::sqrt(std::max(c, 0.0)) / nu);
-    }
+    for (const double root : q) m += std::max(floor, root / nu);
     return m;
   };
   // Expand the bracket defensively (floors can push mass above 1 at lo).
@@ -110,7 +113,7 @@ void neyman_row(std::span<const double> cost, double floor,
   const double nu = hi;
   double sum = 0;
   for (std::size_t a = 0; a < k; ++a) {
-    q[a] = std::max(floor, std::sqrt(std::max(cost[a], 0.0)) / nu);
+    q[a] = std::max(floor, q[a] / nu);
     sum += q[a];
   }
   // Exact renormalization of the residual bisection error; the floored
@@ -170,7 +173,7 @@ PlannerReport plan_logging(const core::ExplorationDataset& harvest,
       par::default_pool(), par::ShardPlan::fixed(n), CostStats::zero(num_cand, k),
       [&](std::size_t, std::size_t begin, std::size_t end) {
         CostStats p = CostStats::zero(num_cand, k);
-        std::vector<double> rhat(k);
+        std::vector<double> rhat(k), pi(k);
         for (std::size_t i = begin; i < end; ++i) {
           const auto& pt = pts[i];
           const std::size_t s =
@@ -186,7 +189,7 @@ PlannerReport plan_logging(const core::ExplorationDataset& harvest,
           const double resid = pt.reward - rhat[pt.action];
           p.ss_resid += resid * resid;
           for (std::size_t c = 0; c < num_cand; ++c) {
-            const std::vector<double> pi = candidates[c]->distribution(pt.context);
+            candidates[c]->distribution_into(pt.context, pi);
             for (std::size_t a = 0; a < k; ++a) {
               const double pi2 = pi[a] * pi[a];
               p.pi2[(c * k + s) * k + a] += pi2;

@@ -302,6 +302,20 @@ if [[ -z "$SANITIZE" ]]; then
 fi
 
 if [[ -z "$SANITIZE" ]]; then
+  echo "==> roundbench: workload smokes, break tests, result-set comparer"
+  # The round-ledger benchmark is a CMake package of its own (roundbench/),
+  # built here inside the CI tree with its tests on: each workload end to end
+  # (ope-replay checks every estimate bit-for-bit against a 2-thread
+  # reference pass), each output check broken on purpose and shown to fire,
+  # and compare.py's unit tests. It compiles the sources without sanitizers,
+  # so sanitizer runs skip it.
+  cmake -B "$BUILD_DIR/roundbench" -S roundbench -DROUNDBENCH_TESTS=ON
+  cmake --build "$BUILD_DIR/roundbench" -j "$(nproc)"
+  ctest --test-dir "$BUILD_DIR/roundbench" --output-on-failure
+  echo "ok: roundbench workloads, break tests and comparer tests pass"
+fi
+
+if [[ -z "$SANITIZE" ]]; then
   echo "==> obs + serve: stress suites under TSan"
   # The SPSC handoff (drain-while-recording) and the snapshot swap/reclaim
   # protocol are the races this repo's memory orderings exist to make safe;
