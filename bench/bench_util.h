@@ -1,6 +1,6 @@
 // Shared helpers for the reproduction benches: banners, paper-vs-measured
 // table assembly, and common flags (--seed, --fast, --metrics-out,
-// --metrics-interval-ms, --threads, --trace-out, --trace-format).
+// --metrics-interval-ms, --threads, --trace-out).
 #pragma once
 
 #include <chrono>
@@ -13,7 +13,6 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/snapshot.h"
-#include "obs/trace.h"
 #include "par/thread_pool.h"
 #include "util/flags.h"
 
@@ -34,15 +33,13 @@ inline void banner(const std::string& experiment, const std::string& claim) {
 /// either way, see src/par/par.h), an optional JSONL dump of every metric
 /// the run recorded (--metrics-out run.jsonl, optionally as a per-interval
 /// time series with --metrics-interval-ms N), and an optional flight
-/// recorder trace dump (--trace-out trace.json --trace-format
-/// {chrome,jsonl}).
+/// recorder trace dump (--trace-out trace.json).
 struct CommonFlags {
   std::uint64_t seed = 42;
   bool fast = false;
   std::size_t threads = 1;
   std::string metrics_out;
   std::string trace_out;
-  std::string trace_format = "chrome";
   std::size_t metrics_interval_ms = 0;
   /// Periodic registry snapshotter, live for the run when
   /// --metrics-interval-ms was given alongside --metrics-out.
@@ -55,7 +52,6 @@ struct CommonFlags {
     out.threads = static_cast<std::size_t>(flags.get_int("threads", 1));
     out.metrics_out = flags.get_string("metrics-out", "");
     out.trace_out = flags.get_string("trace-out", "");
-    out.trace_format = flags.get_string("trace-format", "chrome");
     out.metrics_interval_ms =
         static_cast<std::size_t>(flags.get_int("metrics-interval-ms", 0));
     // Installs the process-wide pool consumed by par::default_pool() inside
@@ -114,9 +110,8 @@ inline void export_metrics(const CommonFlags& flags) {
   }
 }
 
-/// Dumps the process-wide flight recorder when --trace-out was given:
-/// Chrome Trace Event JSON (--trace-format chrome, the default) or the
-/// legacy span JSONL (--trace-format jsonl). Call at the end of main.
+/// Dumps the process-wide flight recorder as Chrome Trace Event JSON when
+/// --trace-out was given. Call at the end of main.
 inline void export_trace(const CommonFlags& flags) {
   if (flags.trace_out.empty()) return;
   std::ofstream out(flags.trace_out);
@@ -125,11 +120,7 @@ inline void export_trace(const CommonFlags& flags) {
     return;
   }
   obs::Recorder& recorder = obs::Recorder::global();
-  if (flags.trace_format == "jsonl") {
-    obs::Tracer::global().write_jsonl(out);
-  } else {
-    recorder.write_chrome_trace(out);
-  }
+  recorder.write_chrome_trace(out);
   std::cout << "trace: " << recorder.trace_size() << " events ("
             << recorder.ring_dropped_total() << " dropped, "
             << recorder.trace_evicted_total() << " evicted) written to "

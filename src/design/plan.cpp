@@ -1,12 +1,13 @@
 #include "design/plan.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/json.h"
 
 namespace harvest::design {
 
@@ -33,200 +34,32 @@ void append_array(std::ostringstream& out, const std::vector<double>& values) {
   out << ']';
 }
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-// Minimal JSON value tree. The store's manifest parser (store/dataset.cpp)
-// only understands unsigned integers; plans are mostly doubles, so this
-// parser accepts the full JSON number grammar instead.
-struct JsonValue {
-  enum Kind { kNull, kNumber, kString, kArray, kObject } kind = kNull;
-  double number = 0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  JsonParser(std::string_view text, const std::string& origin)
-      : text_(text), origin_(origin) {}
-
-  JsonValue parse() {
-    JsonValue v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail(origin_, "trailing characters after JSON");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail(origin_, "unexpected end of JSON");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      fail(origin_, std::string("expected '") + c + "' at byte " +
-                        std::to_string(pos_));
-    }
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') {
-      JsonValue v;
-      v.kind = JsonValue::kString;
-      v.string = parse_string();
-      return v;
-    }
-    if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-      return parse_number();
-    }
-    fail(origin_, std::string("unexpected character '") + c + "'");
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      std::string key = parse_string();
-      expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return v;
-      if (c != ',') fail(origin_, "expected ',' or '}' in object");
-    }
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return v;
-      if (c != ',') fail(origin_, "expected ',' or ']' in array");
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail(origin_, "unterminated escape");
-        c = text_[pos_++];
-      }
-      out.push_back(c);
-    }
-    if (pos_ >= text_.size()) fail(origin_, "unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    auto digits = [&] {
-      std::size_t n = 0;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-        ++n;
-      }
-      return n;
-    };
-    if (digits() == 0) fail(origin_, "malformed number");
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (digits() == 0) fail(origin_, "malformed number fraction");
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (digits() == 0) fail(origin_, "malformed number exponent");
-    }
-    JsonValue v;
-    v.kind = JsonValue::kNumber;
-    const std::string token(text_.substr(start, pos_ - start));
-    v.number = std::strtod(token.c_str(), nullptr);
-    return v;
-  }
-
-  std::string_view text_;
-  const std::string& origin_;
-  std::size_t pos_ = 0;
-};
-
-double require_number(const JsonValue& obj, const std::string& key,
+double require_number(const util::json::Value& obj, const std::string& key,
                       const std::string& origin) {
-  const JsonValue* v = obj.find(key);
-  if (!v || v->kind != JsonValue::kNumber) {
-    fail(origin, "missing numeric field \"" + key + "\"");
-  }
-  return v->number;
+  const util::json::Value* v = obj.find(key);
+  const std::optional<double> d = v ? v->as_double() : std::nullopt;
+  if (!d) fail(origin, "missing numeric field \"" + key + "\"");
+  return *d;
 }
 
-std::vector<double> require_number_array(const JsonValue& obj,
+std::vector<double> require_number_array(const util::json::Value& obj,
                                          const std::string& key,
                                          const std::string& origin) {
-  const JsonValue* v = obj.find(key);
-  if (!v || v->kind != JsonValue::kArray) {
+  const util::json::Value* v = obj.find(key);
+  if (!v || !v->as_array()) {
     fail(origin, "missing array field \"" + key + "\"");
   }
   std::vector<double> out;
-  out.reserve(v->array.size());
-  for (const JsonValue& e : v->array) {
-    if (e.kind != JsonValue::kNumber) {
-      fail(origin, "non-numeric entry in \"" + key + "\"");
-    }
-    out.push_back(e.number);
+  out.reserve(v->as_array()->size());
+  for (const util::json::Value& e : *v->as_array()) {
+    const std::optional<double> d = e.as_double();
+    if (!d) fail(origin, "non-numeric entry in \"" + key + "\"");
+    out.push_back(*d);
   }
   return out;
 }
 
-std::size_t require_count(const JsonValue& obj, const std::string& key,
+std::size_t require_count(const util::json::Value& obj, const std::string& key,
                           const std::string& origin) {
   const double v = require_number(obj, key, origin);
   if (!(v >= 0) || v != std::floor(v) || v > 1e9) {
@@ -338,7 +171,7 @@ std::string LoggingPlan::to_json() const {
   out << "  \"candidates\": [";
   for (std::size_t i = 0; i < candidate_names.size(); ++i) {
     if (i) out << ", ";
-    out << '"' << escape(candidate_names[i]) << '"';
+    out << '"' << util::json::escape(candidate_names[i]) << '"';
   }
   out << "],\n";
   out << "  \"objective\": {\"planned\": " << format_double(planned_objective)
@@ -349,8 +182,13 @@ std::string LoggingPlan::to_json() const {
 
 LoggingPlan LoggingPlan::parse_json(std::string_view text,
                                     const std::string& origin) {
-  JsonValue root = JsonParser(text, origin).parse();
-  if (root.kind != JsonValue::kObject) fail(origin, "top level is not an object");
+  util::json::Value root;
+  try {
+    root = util::json::parse(text, origin);
+  } catch (const util::json::Error& e) {
+    fail(origin, e.detail());
+  }
+  if (!root.as_object()) fail(origin, "top level is not an object");
   LoggingPlan plan;
   plan.version =
       static_cast<std::uint32_t>(require_count(root, "logging_plan", origin));
@@ -364,15 +202,15 @@ LoggingPlan LoggingPlan::parse_json(std::string_view text,
   plan.baseline_epsilon = require_number(root, "baseline_epsilon", origin);
   plan.reference_weights = require_number_array(root, "reference_weights", origin);
 
-  const JsonValue* strata = root.find("strata");
-  if (!strata || strata->kind != JsonValue::kArray ||
-      strata->array.size() != plan.num_actions) {
+  const util::json::Value* strata = root.find("strata");
+  if (!strata || !strata->as_array() ||
+      strata->as_array()->size() != plan.num_actions) {
     fail(origin, "\"strata\" must be an array with one entry per action");
   }
   plan.distributions.assign(plan.num_actions * plan.num_actions, 0);
   plan.stratum_weights.assign(plan.num_actions, 0);
-  for (const JsonValue& entry : strata->array) {
-    if (entry.kind != JsonValue::kObject) {
+  for (const util::json::Value& entry : *strata->as_array()) {
+    if (!entry.as_object()) {
       fail(origin, "stratum entry is not an object");
     }
     const std::size_t s = require_count(entry, "stratum", origin);
@@ -387,17 +225,15 @@ LoggingPlan LoggingPlan::parse_json(std::string_view text,
               plan.distributions.begin() + s * plan.num_actions);
   }
 
-  if (const JsonValue* names = root.find("candidates");
-      names && names->kind == JsonValue::kArray) {
-    for (const JsonValue& n : names->array) {
-      if (n.kind != JsonValue::kString) {
-        fail(origin, "candidate name is not a string");
-      }
-      plan.candidate_names.push_back(n.string);
+  if (const util::json::Value* names = root.find("candidates");
+      names && names->as_array()) {
+    for (const util::json::Value& n : *names->as_array()) {
+      if (!n.as_string()) fail(origin, "candidate name is not a string");
+      plan.candidate_names.push_back(*n.as_string());
     }
   }
-  if (const JsonValue* obj = root.find("objective");
-      obj && obj->kind == JsonValue::kObject) {
+  if (const util::json::Value* obj = root.find("objective");
+      obj && obj->as_object()) {
     plan.planned_objective = require_number(*obj, "planned", origin);
     plan.baseline_objective = require_number(*obj, "baseline", origin);
   }

@@ -6,7 +6,7 @@
 
 #include "core/policies/basic.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 #include "par/parallel.h"
 
 namespace harvest::pipeline {

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 #include "par/parallel.h"
 
 namespace harvest::pipeline {

@@ -34,7 +34,7 @@ LbResult run_lb(const LbConfig& config, Router& router, util::Rng& rng) {
   for (const auto& sc : config.servers) servers.emplace_back(sc);
 
   sim::Simulator simulator;
-  sim::Metric latency_metric;
+  obs::Histogram latency_metric;
   // Per-decision observability hooks: handles resolved once, recorded per
   // routed request (see obs/metrics.h concurrency contract).
   obs::Registry& registry = obs::Registry::global();

@@ -14,7 +14,6 @@
 #include "lb/router.h"
 #include "lb/server.h"
 #include "logs/log_store.h"
-#include "sim/metrics.h"
 #include "util/rng.h"
 
 namespace harvest::lb {

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace harvest::logs {
 

@@ -210,6 +210,20 @@ ScavengeResult scavenge_scan(const store::ScanResult& scan,
 
 }  // namespace
 
+ScavengeSpec spec_from_schema(const store::Schema& schema) {
+  ScavengeSpec spec;
+  spec.decision_event = schema.decision_event;
+  spec.context_fields = schema.context_fields;
+  spec.action_field = schema.action_field;
+  spec.reward_field = schema.reward_field;
+  spec.propensity_field = schema.propensity_field;
+  spec.reward_transform = [](double r) { return r; };
+  spec.num_actions = schema.num_actions;
+  spec.reward_range = {schema.reward_lo, schema.reward_hi};
+  spec.stale_after_seconds = schema.stale_after_seconds;
+  return spec;
+}
+
 ScavengeResult scavenge(const store::Reader& reader, const ScavengeSpec& spec,
                         const store::ScanPredicate& predicate) {
   validate_spec(spec);

@@ -97,6 +97,12 @@ struct ScavengeResult {
   }
 };
 
+/// The spec that scavenges a corpus compacted under `schema`: the schema's
+/// field mapping, action count, staleness window and reward range, with the
+/// identity reward transform. The binary paths' schema check always accepts
+/// it.
+ScavengeSpec spec_from_schema(const store::Schema& schema);
+
 /// Runs the spec over the log. Throws std::invalid_argument on a malformed
 /// spec (no decision event, zero actions, missing transform).
 ScavengeResult scavenge(const LogStore& log, const ScavengeSpec& spec);

@@ -6,6 +6,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/json.h"
+
 namespace harvest::obs {
 
 namespace {
@@ -24,8 +26,8 @@ std::string json_labels(const Labels& labels) {
   std::string out = "{";
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + json_escape(labels[i].first) + "\":\"" +
-           json_escape(labels[i].second) + "\"";
+    out += "\"" + util::json::escape(labels[i].first) + "\":\"" +
+           util::json::escape(labels[i].second) + "\"";
   }
   out += "}";
   return out;
@@ -67,45 +69,25 @@ std::string prom_labels(const Labels& labels, const std::string& extra = "") {
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void write_jsonl(const Registry& registry, std::ostream& out) {
   for (const auto& entry : registry.counters()) {
-    out << "{\"type\":\"counter\",\"name\":\"" << json_escape(entry.name)
-        << "\",\"labels\":" << json_labels(entry.labels) << ",\"value\":"
+    out << "{\"type\":\"counter\",\"name\":\""
+        << util::json::escape(entry.name) << "\",\"labels\":"
+        << json_labels(entry.labels) << ",\"value\":"
         << json_number(entry.metric->value()) << "}\n";
   }
   for (const auto& entry : registry.gauges()) {
-    out << "{\"type\":\"gauge\",\"name\":\"" << json_escape(entry.name)
-        << "\",\"labels\":" << json_labels(entry.labels) << ",\"value\":"
+    out << "{\"type\":\"gauge\",\"name\":\""
+        << util::json::escape(entry.name) << "\",\"labels\":"
+        << json_labels(entry.labels) << ",\"value\":"
         << json_number(entry.metric->value()) << "}\n";
   }
   for (const auto& entry : registry.histograms()) {
     const Histogram& h = *entry.metric;
-    out << "{\"type\":\"histogram\",\"name\":\"" << json_escape(entry.name)
-        << "\",\"labels\":" << json_labels(entry.labels) << ",\"count\":"
-        << h.count() << ",\"mean\":" << json_number(h.mean()) << ",\"min\":"
+    out << "{\"type\":\"histogram\",\"name\":\""
+        << util::json::escape(entry.name) << "\",\"labels\":"
+        << json_labels(entry.labels) << ",\"count\":" << h.count()
+        << ",\"mean\":" << json_number(h.mean()) << ",\"min\":"
         << json_number(h.min()) << ",\"max\":" << json_number(h.max())
         << ",\"sum\":" << json_number(h.sum()) << ",\"p50\":"
         << json_number(h.p50()) << ",\"p90\":" << json_number(h.p90())

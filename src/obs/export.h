@@ -11,9 +11,6 @@
 
 namespace harvest::obs {
 
-/// Escapes `"`  `\` and control characters for embedding in JSON strings.
-std::string json_escape(const std::string& s);
-
 /// One JSON object per metric series:
 ///   {"type":"counter","name":"lb_requests_total","labels":{"server":"0"},
 ///    "value":28000}

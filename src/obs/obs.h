@@ -1,5 +1,5 @@
-// Umbrella header for the observability layer: labeled metrics, span
-// tracing, the lock-free flight recorder, periodic registry snapshots,
+// Umbrella header for the observability layer: labeled metrics, the
+// lock-free flight recorder and its spans, periodic registry snapshots,
 // exporters, and OPE-health diagnostics.
 #pragma once
 
@@ -8,4 +8,3 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/snapshot.h"
-#include "obs/trace.h"

@@ -4,7 +4,7 @@
 #include <bit>
 #include <ostream>
 
-#include "obs/export.h"
+#include "util/json.h"
 #include "util/string_util.h"
 
 namespace harvest::obs {
@@ -445,7 +445,7 @@ void Recorder::write_chrome_trace(std::ostream& out) {
     sep();
     out << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << t
         << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
-        << json_escape(threads[t]) << "\"}}";
+        << util::json::escape(threads[t]) << "\"}}";
   }
   // Sort by start time (stable: per-thread completion order breaks ties) so
   // the file is chronologically browsable even without a viewer.
@@ -457,7 +457,7 @@ void Recorder::write_chrome_trace(std::ostream& out) {
                    });
   for (const std::size_t i : order) {
     const Event& e = events[i];
-    const std::string name = json_escape(std::string(name_of(e.name)));
+    const std::string name = util::json::escape(name_of(e.name));
     sep();
     switch (e.kind) {
       case EventKind::kSpan:
@@ -500,6 +500,55 @@ Recorder& Recorder::global() {
     return new Recorder(options);  // leaked: outlives all users
   }();
   return *instance;
+}
+
+namespace {
+
+/// Per-thread open-span state: the would-be parent of the next ScopedSpan.
+/// Nesting is a property of the thread's call stack, so it is shared across
+/// recorders.
+struct ThreadSpanState {
+  std::uint64_t current_parent = 0;
+  int depth = 0;
+};
+
+ThreadSpanState& thread_span_state() {
+  thread_local ThreadSpanState state;
+  return state;
+}
+
+}  // namespace
+
+ScopedSpan::ScopedSpan(Recorder& recorder, std::string_view name)
+    : recorder_(recorder.enabled() ? &recorder : nullptr) {
+  if (!recorder_) return;
+  ThreadSpanState& state = thread_span_state();
+  name_id_ = recorder_->intern(name);
+  id_ = recorder_->next_span_id();
+  parent_id_ = state.current_parent;
+  depth_ = state.depth;
+  start_ns_ = recorder_->now_ns();
+  state.current_parent = id_;
+  ++state.depth;
+}
+
+ScopedSpan::ScopedSpan(std::string_view name)
+    : ScopedSpan(Recorder::global(), name) {}
+
+ScopedSpan::~ScopedSpan() {
+  if (!recorder_) return;
+  ThreadSpanState& state = thread_span_state();
+  state.current_parent = parent_id_;
+  --state.depth;
+  Event e;
+  e.ts_ns = start_ns_;
+  e.dur_ns = recorder_->now_ns() - start_ns_;
+  e.a = id_;
+  e.b = parent_id_;
+  e.name = name_id_;
+  e.kind = EventKind::kScopeSpan;
+  e.depth = static_cast<std::uint8_t>(std::min(depth_, 255));
+  recorder_->emit(e);
 }
 
 }  // namespace harvest::obs

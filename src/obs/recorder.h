@@ -1,12 +1,11 @@
 // Flight recorder: lock-free per-thread telemetry for the harvest hot paths.
 //
-// The obs layer's Registry (metrics.h) and span Tracer (trace.h) are built
-// for coarse instrumentation — metric creation and histogram recording take
-// mutexes, and the span ring is documented as unfit for per-request use. The
-// recorder is the substrate underneath both for the paths where that is not
-// acceptable: per-task pool events, per-block store scans, per-decision
-// quarantine classifications, and eventually the online decision service
-// (>= 1M decisions/sec/core).
+// The obs layer's Registry (metrics.h) is built for coarse instrumentation —
+// metric creation and histogram recording take mutexes. The recorder is the
+// telemetry substrate for the paths where that is not acceptable: per-task
+// pool events, per-block store scans, per-decision quarantine
+// classifications, and the online decision service (>= 1M
+// decisions/sec/core). Coarse pipeline stages record ScopedSpans into it.
 //
 // Architecture:
 //   producers (any thread)          collector (on demand / background)
@@ -33,8 +32,8 @@
 //    sites intern in a function-local static and pass the id.
 //
 // Export: write_chrome_trace emits Chrome Trace Event Format JSON loadable
-// by chrome://tracing and Perfetto; tools/harvest_trace analyzes either
-// that or the legacy span JSONL (trace.h, now also recorder-backed).
+// by chrome://tracing and Perfetto, the one trace format tools/harvest_trace
+// analyzes.
 #pragma once
 
 #include <atomic>
@@ -54,11 +53,11 @@
 
 namespace harvest::obs {
 
-/// What one fixed-size trace event means. kScopeSpan is the legacy
-/// obs::ScopedSpan shape (explicit id/parent/depth for the JSONL format);
-/// kSpan is a recorder-native duration event whose nesting is implied by
-/// interval containment within a thread; kInstant marks a point in time;
-/// kCounter samples a value (histogram samples, queue depths).
+/// What one fixed-size trace event means. kScopeSpan is an obs::ScopedSpan
+/// (explicit id/parent/depth, so the span tree survives the export); kSpan
+/// is a recorder-native duration event whose nesting is implied by interval
+/// containment within a thread; kInstant marks a point in time; kCounter
+/// samples a value (histogram samples, queue depths).
 enum class EventKind : std::uint8_t {
   kSpan = 0,
   kScopeSpan = 1,
@@ -130,7 +129,7 @@ class Recorder {
   /// The interned string for `id` ("?" when out of range). Stable storage.
   std::string_view name_of(std::uint32_t id) const;
 
-  /// Next legacy span id (1-based, 0 reserved for "no parent").
+  /// Next ScopedSpan id (1-based, 0 reserved for "no parent").
   std::uint64_t next_span_id() {
     return 1 + span_ids_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -282,6 +281,30 @@ class RecSpan {
   std::uint32_t name_;
   std::uint64_t a_, b_;
   std::uint64_t start_ns_ = 0;
+};
+
+/// RAII scope span for coarse stages: opens on construction and emits one
+/// kScopeSpan event on destruction. Nesting is inferred from construction
+/// order within a thread — a span constructed while another is open becomes
+/// its child — and exported as explicit id/parent/depth. Costs a name
+/// intern per construction; hot paths use RecSpan with a pre-interned id.
+class ScopedSpan {
+ public:
+  ScopedSpan(Recorder& recorder, std::string_view name);
+  /// Spans against Recorder::global().
+  explicit ScopedSpan(std::string_view name);
+  ~ScopedSpan();
+
+  ScopedSpan(const ScopedSpan&) = delete;
+  ScopedSpan& operator=(const ScopedSpan&) = delete;
+
+ private:
+  Recorder* recorder_;  // null when the recorder was disabled at construction
+  std::uint32_t name_id_ = 0;
+  std::uint64_t id_ = 0;
+  std::uint64_t parent_id_ = 0;
+  std::uint64_t start_ns_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace harvest::obs

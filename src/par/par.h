@@ -8,7 +8,6 @@
 // --threads 1 to --threads N. See README "Threading model & determinism".
 #pragma once
 
-#include "par/bootstrap_par.h"
 #include "par/parallel.h"
 #include "par/sharded_rng.h"
 #include "par/thread_pool.h"

@@ -10,7 +10,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace harvest::par {
 

@@ -35,11 +35,11 @@ class SnapshotTrainer {
     /// Exploration mass of every published snapshot. Kept above zero so the
     /// served stream stays harvestable (min propensity epsilon/|A|).
     double epsilon = 0.1;
-    core::TrainConfig train;
+    core::TrainConfig train = {};
     /// train_and_publish() refuses to retrain on fewer labeled tuples than
     /// this (a fit on a handful of rows would publish noise).
     std::size_t min_rows = 64;
-    core::RewardRange reward_range;
+    core::RewardRange reward_range = {};
     /// When positive, only the most recent `window_rows` labeled tuples are
     /// kept (sliding window over the decision stream); 0 keeps everything.
     std::size_t window_rows = 0;

@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace harvest::store {
 

@@ -4,8 +4,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <utility>
+
+#include "util/json.h"
 
 namespace harvest::store {
 
@@ -15,197 +18,42 @@ namespace {
   throw std::runtime_error("hlog dataset: " + origin + ": " + what);
 }
 
-// ---- minimal JSON ---------------------------------------------------------
-// Just enough for the fixed manifest grammar: objects, arrays, strings with
-// the common escapes, unsigned integers (ledger counts), bool/null. No
-// floats, no \uXXXX — the manifest writer never emits them.
-
-struct JsonValue {
-  enum Kind { kNull, kBool, kUint, kString, kArray, kObject };
-  Kind kind = kNull;
-  bool boolean = false;
-  std::uint64_t uint = 0;
-  std::string str;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> members;
-
-  const JsonValue* find(std::string_view key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-struct JsonParser {
-  std::string_view text;
-  std::size_t pos = 0;
-  const std::string& origin;
-
-  [[noreturn]] void error(const std::string& what) const {
-    fail(origin, what + " at byte " + std::to_string(pos));
-  }
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-            text[pos] == '\r')) {
-      ++pos;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos >= text.size()) error("unexpected end of manifest");
-    return text[pos];
-  }
-
-  void expect(char c) {
-    if (peek() != c) error(std::string("expected '") + c + "'");
-    ++pos;
-  }
-
-  bool consume(char c) {
-    if (pos < text.size() && peek() == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\') {
-        if (pos >= text.size()) error("unterminated escape");
-        const char esc = text[pos++];
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          default: error("unsupported escape");
-        }
-      }
-      out.push_back(c);
-    }
-    if (pos >= text.size()) error("unterminated string");
-    ++pos;  // closing quote
-    return out;
-  }
-
-  JsonValue parse_value() {
-    JsonValue v;
-    const char c = peek();
-    if (c == '{') {
-      ++pos;
-      v.kind = JsonValue::kObject;
-      if (!consume('}')) {
-        do {
-          std::string key = parse_string();
-          expect(':');
-          v.members.emplace_back(std::move(key), parse_value());
-        } while (consume(','));
-        expect('}');
-      }
-    } else if (c == '[') {
-      ++pos;
-      v.kind = JsonValue::kArray;
-      if (!consume(']')) {
-        do {
-          v.items.push_back(parse_value());
-        } while (consume(','));
-        expect(']');
-      }
-    } else if (c == '"') {
-      v.kind = JsonValue::kString;
-      v.str = parse_string();
-    } else if (c >= '0' && c <= '9') {
-      v.kind = JsonValue::kUint;
-      while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
-        const std::uint64_t digit = static_cast<std::uint64_t>(text[pos] - '0');
-        if (v.uint > (UINT64_MAX - digit) / 10) error("integer overflow");
-        v.uint = v.uint * 10 + digit;
-        ++pos;
-      }
-    } else if (text.compare(pos, 4, "true") == 0) {
-      pos += 4;
-      v.kind = JsonValue::kBool;
-      v.boolean = true;
-    } else if (text.compare(pos, 5, "false") == 0) {
-      pos += 5;
-      v.kind = JsonValue::kBool;
-    } else if (text.compare(pos, 4, "null") == 0) {
-      pos += 4;
-    } else {
-      error("unexpected token");
-    }
-    return v;
-  }
-};
-
-std::uint64_t require_uint(const JsonValue& obj, std::string_view key,
+std::uint64_t require_uint(const util::json::Value& obj, std::string_view key,
                            const std::string& origin) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->kind != JsonValue::kUint) {
-    fail(origin, "missing numeric field \"" + std::string(key) + "\"");
-  }
-  return v->uint;
+  const util::json::Value* v = obj.find(key);
+  const std::optional<std::uint64_t> n =
+      v != nullptr ? v->as_uint64() : std::nullopt;
+  if (!n) fail(origin, "missing numeric field \"" + std::string(key) + "\"");
+  return *n;
 }
 
-Counts parse_counts(const JsonValue& obj, const std::string& origin) {
+/// The ledger fields, in the order the manifest writes them.
+constexpr std::pair<const char*, std::uint64_t Counts::*> kCountFields[] = {
+    {"records_seen", &Counts::records_seen},
+    {"decisions_seen", &Counts::decisions_seen},
+    {"dropped_missing_fields", &Counts::dropped_missing_fields},
+    {"dropped_bad_action", &Counts::dropped_bad_action},
+    {"dropped_bad_propensity", &Counts::dropped_bad_propensity},
+    {"dropped_stale_timestamp", &Counts::dropped_stale_timestamp},
+    {"dropped_corrupt_block", &Counts::dropped_corrupt_block},
+    {"rows", &Counts::rows},
+};
+
+Counts parse_counts(const util::json::Value& obj, const std::string& origin) {
   Counts c;
-  c.records_seen = require_uint(obj, "records_seen", origin);
-  c.decisions_seen = require_uint(obj, "decisions_seen", origin);
-  c.dropped_missing_fields = require_uint(obj, "dropped_missing_fields", origin);
-  c.dropped_bad_action = require_uint(obj, "dropped_bad_action", origin);
-  c.dropped_bad_propensity =
-      require_uint(obj, "dropped_bad_propensity", origin);
-  c.dropped_stale_timestamp =
-      require_uint(obj, "dropped_stale_timestamp", origin);
-  c.dropped_corrupt_block = require_uint(obj, "dropped_corrupt_block", origin);
-  c.rows = require_uint(obj, "rows", origin);
-  return c;
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (c == '\t') {
-      out += "\\t";
-    } else if (c == '\r') {
-      out += "\\r";
-    } else {
-      out.push_back(c);
-    }
+  for (const auto& [name, field] : kCountFields) {
+    c.*field = require_uint(obj, name, origin);
   }
-  out.push_back('"');
+  return c;
 }
 
 void append_counts(std::string& out, const Counts& c,
                    const std::string& indent) {
-  const auto field = [&](const char* name, std::uint64_t v, bool last = false) {
-    out += indent + "  \"" + name + "\": " + std::to_string(v) +
-           (last ? "\n" : ",\n");
-  };
   out += "{\n";
-  field("records_seen", c.records_seen);
-  field("decisions_seen", c.decisions_seen);
-  field("dropped_missing_fields", c.dropped_missing_fields);
-  field("dropped_bad_action", c.dropped_bad_action);
-  field("dropped_bad_propensity", c.dropped_bad_propensity);
-  field("dropped_stale_timestamp", c.dropped_stale_timestamp);
-  field("dropped_corrupt_block", c.dropped_corrupt_block);
-  field("rows", c.rows, /*last=*/true);
+  for (const auto& [name, field] : kCountFields) {
+    out += indent + "  \"" + name + "\": " + std::to_string(c.*field) +
+           (field == &Counts::rows ? "\n" : ",\n");
+  }
   out += indent + "}";
 }
 
@@ -228,9 +76,8 @@ std::string Manifest::to_json() const {
   out += ",\n  \"shards\": [";
   for (std::size_t i = 0; i < shards.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\n      \"file\": ";
-    append_json_string(out, shards[i].file);
-    out += ",\n      \"counts\": ";
+    out += "    {\n      \"file\": \"" + util::json::escape(shards[i].file);
+    out += "\",\n      \"counts\": ";
     append_counts(out, shards[i].counts, "      ");
     out += "\n    }";
   }
@@ -241,11 +88,13 @@ std::string Manifest::to_json() const {
 
 Manifest Manifest::parse_json(std::string_view text,
                               const std::string& origin) {
-  JsonParser parser{text, 0, origin};
-  const JsonValue root = parser.parse_value();
-  parser.skip_ws();
-  if (parser.pos != text.size()) parser.error("trailing garbage");
-  if (root.kind != JsonValue::kObject) fail(origin, "manifest is not an object");
+  util::json::Value root;
+  try {
+    root = util::json::parse(text, origin);
+  } catch (const util::json::Error& e) {
+    fail(origin, e.detail());
+  }
+  if (root.as_object() == nullptr) fail(origin, "manifest is not an object");
 
   Manifest manifest;
   const std::uint64_t version = require_uint(root, "hlog_dataset", origin);
@@ -254,31 +103,31 @@ Manifest Manifest::parse_json(std::string_view text,
   }
   manifest.version = static_cast<std::uint32_t>(version);
 
-  const JsonValue* counts = root.find("counts");
-  if (counts == nullptr || counts->kind != JsonValue::kObject) {
+  const util::json::Value* counts = root.find("counts");
+  if (counts == nullptr || counts->as_object() == nullptr) {
     fail(origin, "missing \"counts\" object");
   }
   manifest.counts = parse_counts(*counts, origin);
 
-  const JsonValue* shards = root.find("shards");
-  if (shards == nullptr || shards->kind != JsonValue::kArray) {
+  const util::json::Value* shards = root.find("shards");
+  if (shards == nullptr || shards->as_array() == nullptr) {
     fail(origin, "missing \"shards\" array");
   }
-  for (const JsonValue& entry : shards->items) {
-    if (entry.kind != JsonValue::kObject) {
+  for (const util::json::Value& entry : *shards->as_array()) {
+    if (entry.as_object() == nullptr) {
       fail(origin, "shard entry is not an object");
     }
-    const JsonValue* file = entry.find("file");
-    if (file == nullptr || file->kind != JsonValue::kString ||
-        file->str.empty()) {
+    const util::json::Value* file = entry.find("file");
+    if (file == nullptr || file->as_string() == nullptr ||
+        file->as_string()->empty()) {
       fail(origin, "shard entry missing \"file\"");
     }
-    const JsonValue* shard_counts = entry.find("counts");
-    if (shard_counts == nullptr || shard_counts->kind != JsonValue::kObject) {
+    const util::json::Value* shard_counts = entry.find("counts");
+    if (shard_counts == nullptr || shard_counts->as_object() == nullptr) {
       fail(origin, "shard entry missing \"counts\"");
     }
     manifest.shards.push_back(
-        {file->str, parse_counts(*shard_counts, origin)});
+        {*file->as_string(), parse_counts(*shard_counts, origin)});
   }
   return manifest;
 }

@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "obs/recorder.h"
-#include "obs/trace.h"
 #include "store/crc32c.h"
 #include "store/encoding.h"
 

@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 #include "store/crc32c.h"
 #include "store/encoding.h"
 

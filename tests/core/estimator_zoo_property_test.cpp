@@ -55,7 +55,9 @@ void expect_identical(const Estimate& a, const Estimate& b,
   }
   EXPECT_EQ(a.ess, b.ess);
   EXPECT_EQ(a.max_weight, b.max_weight);
-  if (check_clipped) EXPECT_EQ(a.clipped_fraction, b.clipped_fraction);
+  if (check_clipped) {
+    EXPECT_EQ(a.clipped_fraction, b.clipped_fraction);
+  }
 }
 
 class ZooIdentities : public ::testing::TestWithParam<Combo> {};

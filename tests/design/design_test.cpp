@@ -162,6 +162,21 @@ TEST(LoggingPlanTest, ParseRejectsMalformedInput) {
                std::invalid_argument);
 }
 
+TEST(LoggingPlanTest, ParseRejectsDeepNestingWithItsOwnError) {
+  EXPECT_THROW(LoggingPlan::parse_json(std::string(1000000, '['), "deep"),
+               std::invalid_argument);
+}
+
+TEST(LoggingPlanTest, HostileCandidateNamesRoundTrip) {
+  LoggingPlan hostile = plan(make_inputs(300, 37)).plan;
+  hostile.candidate_names = {"quote\"d", "back\\slash", "new\nline",
+                             "tab\there", "ctl\x01"};
+  const std::string json = hostile.to_json();
+  const LoggingPlan parsed = LoggingPlan::parse_json(json, "hostile");
+  EXPECT_EQ(parsed.candidate_names, hostile.candidate_names);
+  EXPECT_EQ(parsed.to_json(), json);
+}
+
 TEST(LoggingPlanTest, ValidateRejectsBrokenPlans) {
   LoggingPlan base = plan(make_inputs(300, 31)).plan;
   EXPECT_NO_THROW(base.validate());

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -11,22 +12,20 @@
 
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
+#include "util/json.h"
 
 namespace harvest::obs {
 namespace {
 
 // --- helpers -------------------------------------------------------------
 
-/// Minimal JSON field extraction for round-trip checks: finds `"key":` and
-/// parses the number that follows. Returns NaN when absent.
+/// The number at `key` of the JSON object `line`; NaN when absent.
 double json_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  return std::stod(line.substr(pos + needle.size()));
+  const util::json::Value object = util::json::parse(line, "line");
+  const util::json::Value* v = object.find(key);
+  return (v != nullptr ? v->as_double() : std::nullopt)
+      .value_or(std::numeric_limits<double>::quiet_NaN());
 }
 
 std::vector<std::string> lines_of(const std::string& text) {
@@ -174,87 +173,96 @@ TEST(ExportTest, PrometheusTextDump) {
 }
 
 TEST(ExportTest, JsonEscape) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  EXPECT_EQ(util::json::escape("plain"), "plain");
+  EXPECT_EQ(util::json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
 }
 
 // --- tracing -------------------------------------------------------------
 
+/// A private recorder keeping the newest `trace_capacity` events.
+Recorder::Options span_options(std::size_t trace_capacity) {
+  Recorder::Options options;
+  options.trace_capacity = trace_capacity;
+  options.ring_capacity = 1 << 10;
+  return options;
+}
+
 TEST(TraceTest, NestedSpansRecordParentAndTiming) {
-  Tracer tracer(16);
+  Recorder recorder(span_options(16));
   {
-    ScopedSpan outer(tracer, "outer");
+    ScopedSpan outer(recorder, "outer");
     {
-      ScopedSpan inner(tracer, "inner");
+      ScopedSpan inner(recorder, "inner");
     }
     {
-      ScopedSpan sibling(tracer, "sibling");
+      ScopedSpan sibling(recorder, "sibling");
     }
   }
-  const std::vector<SpanRecord> spans = tracer.snapshot();
+  const std::vector<Event> spans = recorder.snapshot_events();
   ASSERT_EQ(spans.size(), 3u);
   // Completion order: inner, sibling, outer.
-  EXPECT_EQ(spans[0].name, "inner");
-  EXPECT_EQ(spans[1].name, "sibling");
-  EXPECT_EQ(spans[2].name, "outer");
+  EXPECT_EQ(recorder.name_of(spans[0].name), "inner");
+  EXPECT_EQ(recorder.name_of(spans[1].name), "sibling");
+  EXPECT_EQ(recorder.name_of(spans[2].name), "outer");
 
-  const SpanRecord& outer = spans[2];
-  EXPECT_EQ(outer.parent_id, 0u);
+  const Event& outer = spans[2];
+  EXPECT_EQ(outer.kind, EventKind::kScopeSpan);
+  EXPECT_EQ(outer.b, 0u);  // no parent
   EXPECT_EQ(outer.depth, 0);
   for (int i : {0, 1}) {
-    EXPECT_EQ(spans[i].parent_id, outer.id);
+    EXPECT_EQ(spans[i].kind, EventKind::kScopeSpan);
+    EXPECT_EQ(spans[i].b, outer.a);  // parent id is the outer span's id
     EXPECT_EQ(spans[i].depth, 1);
-    EXPECT_GE(spans[i].start_us, outer.start_us);
-    EXPECT_LE(spans[i].duration_us, outer.duration_us);
-    EXPECT_GE(spans[i].duration_us, 0.0);
+    EXPECT_GE(spans[i].ts_ns, outer.ts_ns);
+    EXPECT_LE(spans[i].dur_ns, outer.dur_ns);
   }
 }
 
 TEST(TraceTest, RingBufferKeepsNewestSpans) {
-  Tracer tracer(2);
-  { ScopedSpan s(tracer, "first"); }
-  { ScopedSpan s(tracer, "second"); }
-  { ScopedSpan s(tracer, "third"); }
-  const std::vector<SpanRecord> spans = tracer.snapshot();
+  Recorder recorder(span_options(2));
+  { ScopedSpan s(recorder, "first"); }
+  { ScopedSpan s(recorder, "second"); }
+  { ScopedSpan s(recorder, "third"); }
+  const std::vector<Event> spans = recorder.snapshot_events();
   ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "second");
-  EXPECT_EQ(spans[1].name, "third");
+  EXPECT_EQ(recorder.name_of(spans[0].name), "second");
+  EXPECT_EQ(recorder.name_of(spans[1].name), "third");
 }
 
-TEST(TraceTest, DisabledTracerRecordsNothing) {
-  Tracer tracer(16);
-  tracer.set_enabled(false);
-  { ScopedSpan s(tracer, "ignored"); }
-  EXPECT_TRUE(tracer.snapshot().empty());
+TEST(TraceTest, DisabledRecorderRecordsNothing) {
+  Recorder recorder(span_options(16));
+  recorder.set_enabled(false);
+  { ScopedSpan s(recorder, "ignored"); }
+  EXPECT_TRUE(recorder.snapshot_events().empty());
 }
 
-TEST(TraceTest, JsonlDumpIsOneObjectPerSpan) {
-  Tracer tracer(16);
+TEST(TraceTest, ChromeTraceNamesEachSpansParent) {
+  Recorder recorder(span_options(16));
   {
-    ScopedSpan outer(tracer, "pipeline.evaluate");
-    ScopedSpan inner(tracer, "pipeline.scavenge");
+    ScopedSpan outer(recorder, "pipeline.evaluate");
+    ScopedSpan inner(recorder, "pipeline.scavenge");
   }
   std::ostringstream out;
-  tracer.write_jsonl(out);
-  const std::vector<std::string> lines = lines_of(out.str());
-  ASSERT_EQ(lines.size(), 2u);
-  for (const std::string& line : lines) {
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    EXPECT_FALSE(std::isnan(json_field(line, "id")));
-    EXPECT_FALSE(std::isnan(json_field(line, "parent")));
-    EXPECT_FALSE(std::isnan(json_field(line, "duration_us")));
+  recorder.write_chrome_trace(out);
+  const util::json::Value doc = util::json::parse(out.str(), "trace");
+  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> ids;
+  for (const util::json::Value& e : *doc.find("traceEvents")->as_array()) {
+    if (*e.find("ph")->as_string() != "X") continue;
+    const util::json::Value* args = e.find("args");
+    ASSERT_NE(args, nullptr);
+    ids[*e.find("name")->as_string()] = {*args->find("id")->as_uint64(),
+                                         *args->find("parent")->as_uint64()};
   }
-  // The child names its parent.
-  const double outer_id = json_field(lines[1], "id");
-  EXPECT_DOUBLE_EQ(json_field(lines[0], "parent"), outer_id);
+  ASSERT_EQ(ids.size(), 2u);
+  EXPECT_EQ(ids["pipeline.evaluate"].second, 0u);
+  EXPECT_EQ(ids["pipeline.scavenge"].second, ids["pipeline.evaluate"].first);
 }
 
 TEST(TraceTest, ClearResets) {
-  Tracer tracer(4);
-  { ScopedSpan s(tracer, "x"); }
-  tracer.clear();
-  EXPECT_TRUE(tracer.snapshot().empty());
+  Recorder recorder(span_options(4));
+  { ScopedSpan s(recorder, "x"); }
+  recorder.reset();
+  EXPECT_TRUE(recorder.snapshot_events().empty());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Unit tests for the flight recorder: event round-trips, exact drop
-// accounting, bounded-trace eviction, registry aggregation, the legacy
-// Tracer facade's prometheus/cardinality satellites, and a golden
+// accounting, bounded-trace eviction, registry aggregation, prometheus
+// label escaping, the registry's series-cardinality guard, and a golden
 // chrome-trace validity check.
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
+#include "util/json.h"
 
 namespace harvest::obs {
 namespace {
@@ -178,26 +179,15 @@ TEST(RecorderTest, ChromeTraceGolden) {
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(json.find("\"queue_depth\":2"), std::string::npos);
-  // Valid JSON shape: one object, balanced brackets, closing envelope.
+  // Valid JSON: one object whose traceEvents hold the metadata event and
+  // the three recorded events, closed by the envelope.
   EXPECT_EQ(json.back(), '\n');
   EXPECT_NE(json.find("\n]}"), std::string::npos);
-  std::size_t braces = 0, brackets = 0;
-  bool in_string = false;
-  for (std::size_t i = 0; i < json.size(); ++i) {
-    const char c = json[i];
-    if (in_string) {
-      if (c == '\\') ++i;
-      else if (c == '"') in_string = false;
-      continue;
-    }
-    if (c == '"') in_string = true;
-    if (c == '{') ++braces;
-    if (c == '}') --braces;
-    if (c == '[') ++brackets;
-    if (c == ']') --brackets;
-  }
-  EXPECT_EQ(braces, 0u);
-  EXPECT_EQ(brackets, 0u);
+  const util::json::Value doc = util::json::parse(json, "golden");
+  const util::json::Value* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_NE(events->as_array(), nullptr);
+  EXPECT_EQ(events->as_array()->size(), 4u);
 }
 
 // --- satellite regressions ----------------------------------------------

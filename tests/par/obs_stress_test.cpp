@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 #include "par/thread_pool.h"
 
 namespace harvest::obs {
@@ -55,25 +55,29 @@ TEST(ObsStress, RegistryCountersConserveUnderContention) {
 }
 
 TEST(ObsStress, TraceRingSurvivesConcurrentSpans) {
-  Tracer tracer(256);  // small ring: force constant wraparound
+  Recorder::Options options;
+  options.trace_capacity = 256;  // small trace: force constant wraparound
+  options.ring_capacity = 1 << 10;
+  Recorder recorder(options);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&tracer] {
+    threads.emplace_back([&recorder] {
       for (std::size_t i = 0; i < kOpsPerThread / 4; ++i) {
-        ScopedSpan outer(tracer, "stress.outer");
-        ScopedSpan inner(tracer, "stress.inner");
+        ScopedSpan outer(recorder, "stress.outer");
+        ScopedSpan inner(recorder, "stress.inner");
       }
     });
   }
   for (auto& th : threads) th.join();
 
-  const std::vector<SpanRecord> spans = tracer.snapshot();
-  EXPECT_LE(spans.size(), tracer.capacity());
+  const std::vector<Event> spans = recorder.snapshot_events();
+  EXPECT_LE(spans.size(), recorder.trace_capacity());
   EXPECT_GT(spans.size(), 0u);
-  for (const auto& span : spans) {
-    EXPECT_TRUE(span.name == "stress.outer" || span.name == "stress.inner");
-    EXPECT_GE(span.duration_us, 0.0);
+  for (const Event& span : spans) {
+    const std::string_view name = recorder.name_of(span.name);
+    EXPECT_TRUE(name == "stress.outer" || name == "stress.inner");
+    EXPECT_EQ(span.kind, EventKind::kScopeSpan);
   }
 }
 

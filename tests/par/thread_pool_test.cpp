@@ -1,6 +1,6 @@
 // Unit tests for the deterministic parallel layer: pool lifecycle,
 // exception propagation, nested submission, and the bit-determinism of
-// parallel_for / parallel_reduce / bootstrap across pool sizes.
+// parallel_for / parallel_reduce across pool sizes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "par/par.h"
-#include "stats/bootstrap.h"
 
 namespace harvest::par {
 namespace {
@@ -123,7 +122,9 @@ TEST(ShardPlan, LayoutIsThreadCountIndependentAndCoversRange) {
       prev_end = end;
     }
     EXPECT_EQ(covered, n);
-    if (n > 0) EXPECT_EQ(prev_end, n);
+    if (n > 0) {
+      EXPECT_EQ(prev_end, n);
+    }
   }
 }
 
@@ -202,36 +203,6 @@ TEST(ParallelReduce, MergesInShardOrder) {
   std::vector<std::size_t> expected(16);
   std::iota(expected.begin(), expected.end(), 0u);
   EXPECT_EQ(order, expected);
-}
-
-TEST(ShardedBootstrap, BitIdenticalAcrossPoolSizes) {
-  std::vector<double> values(500);
-  util::Rng rng(99);
-  for (auto& v : values) v = rng.normal(0.0, 1.0);
-  const stats::IndexStatistic mean_stat =
-      [&values](std::span<const std::size_t> idx) {
-        double s = 0;
-        for (std::size_t i : idx) s += values[i];
-        return s / static_cast<double>(idx.size());
-      };
-
-  const std::vector<double> sequential =
-      bootstrap_replicates(nullptr, values.size(), mean_stat, 200, 7);
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    const std::vector<double> parallel =
-        bootstrap_replicates(&pool, values.size(), mean_stat, 200, 7);
-    EXPECT_EQ(sequential, parallel) << "pool size " << threads;
-  }
-
-  // And the derived interval is sane: contains the sample mean.
-  const stats::Interval ci = bootstrap_mean_interval(
-      nullptr, values, 200, 0.05, 7);
-  double sample_mean = 0;
-  for (double v : values) sample_mean += v;
-  sample_mean /= static_cast<double>(values.size());
-  EXPECT_LE(ci.lo, sample_mean);
-  EXPECT_GE(ci.hi, sample_mean);
 }
 
 TEST(DefaultPool, ZeroAndOneMeanSequential) {

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/metrics.h"
 #include "sim/simulator.h"
 
 namespace harvest::sim {
@@ -90,24 +89,6 @@ TEST(SimulatorTest, ClearDropsPending) {
   simulator.clear();
   simulator.run();
   EXPECT_EQ(fired, 0);
-}
-
-TEST(MetricTest, RecordsMomentsAndQuantiles) {
-  Metric metric;
-  for (int i = 1; i <= 1000; ++i) metric.record(static_cast<double>(i));
-  EXPECT_EQ(metric.count(), 1000u);
-  EXPECT_NEAR(metric.mean(), 500.5, 1e-9);
-  EXPECT_NEAR(metric.p50(), 500, 25);
-  EXPECT_NEAR(metric.p99(), 990, 20);
-}
-
-TEST(MetricRegistryTest, LazyCreationAndLookup) {
-  MetricRegistry registry;
-  registry.get("latency").record(1.0);
-  registry.get("latency").record(3.0);
-  registry.get("errors").record(0.0);
-  EXPECT_EQ(registry.all().size(), 2u);
-  EXPECT_DOUBLE_EQ(registry.get("latency").mean(), 2.0);
 }
 
 }  // namespace

@@ -345,5 +345,15 @@ TEST(FormatTest, ManifestRejectsMalformedJson) {
       std::runtime_error);
 }
 
+TEST(FormatTest, ManifestRejectsDeepNestingWithItsOwnError) {
+  try {
+    Manifest::parse_json(std::string(1000000, '['), "deep");
+    FAIL() << "accepted a manifest nested 1,000,000 arrays deep";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("hlog dataset: deep: ", 0), 0u) << what;
+  }
+}
+
 }  // namespace
 }  // namespace harvest::store

@@ -276,6 +276,20 @@ TEST(StoreRoundTripTest, ScavengeRefusesMismatchedSpec) {
   EXPECT_THROW(logs::scavenge(reader, spec), std::invalid_argument);
 }
 
+TEST(StoreRoundTripTest, SpecFromSchemaMatchesItsSchema) {
+  for (std::size_t dim = 0; dim < 4; ++dim) {
+    Schema schema = test_schema(dim);
+    if (dim % 2 == 1) schema.stale_after_seconds = 30;
+    if (dim == 2) schema.propensity_field.clear();
+    const std::string bytes =
+        write_rows(random_rows(40, dim, 5 + dim), schema, {});
+    const Reader reader = Reader::from_memory(bytes);
+    const logs::ScavengeSpec spec = logs::spec_from_schema(reader.schema());
+    EXPECT_EQ(spec.reward_transform(-1.25), -1.25);  // identity transform
+    EXPECT_EQ(logs::scavenge(reader, spec).data.size(), 40u) << "dim " << dim;
+  }
+}
+
 TEST(StoreRoundTripTest, EmptyCorpusRoundTrips) {
   const std::string bytes = write_rows({}, test_schema(1), {});
   const Reader reader = Reader::from_memory(bytes);

@@ -13,7 +13,8 @@
 # fig3 at --threads 1 vs --threads 8 must emit byte-identical stdout.
 #
 # The build tree goes to build-ci[-<sanitizer>] so it never collides with a
-# developer's ./build.
+# developer's ./build. The main tree and the TSan sub-build compile with
+# -Werror: the build is warning-clean and stays that way.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -26,7 +27,7 @@ if [[ -n "$SANITIZE" ]]; then
   CMAKE_ARGS+=("-DHARVEST_SANITIZE=${SANITIZE}")
 fi
 
-cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
+cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}" -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 for label in unit property integration stress; do
@@ -180,7 +181,7 @@ fi
 # into per-worker utilization and a critical path.
 OBS_TRACE="$STORE_DIR/table2.trace.json"
 "$BUILD_DIR/bench/table2_load_balancing" --fast --threads 4 \
-  --trace-out "$OBS_TRACE" --trace-format chrome > /dev/null
+  --trace-out "$OBS_TRACE" > /dev/null
 OBS_REPORT="$("$BUILD_DIR/tools/harvest_trace" "$OBS_TRACE")"
 for needle in "per-worker utilization" "critical path" "par.task"; do
   if ! grep -q "$needle" <<< "$OBS_REPORT"; then
@@ -320,7 +321,8 @@ if [[ -z "$SANITIZE" ]]; then
   # The SPSC handoff (drain-while-recording) and the snapshot swap/reclaim
   # protocol are the races this repo's memory orderings exist to make safe;
   # prove both under the analyzer even on plain CI runs.
-  cmake -B build-ci-obs-tsan -S . -DHARVEST_SANITIZE=thread
+  cmake -B build-ci-obs-tsan -S . -DHARVEST_SANITIZE=thread \
+    -DCMAKE_CXX_FLAGS=-Werror
   cmake --build build-ci-obs-tsan -j "$(nproc)" \
     --target recorder_stress_tests serve_stress_tests
   ctest --test-dir build-ci-obs-tsan --output-on-failure \

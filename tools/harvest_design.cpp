@@ -27,15 +27,14 @@
 // (default 2), --actions K (3), --dim D (4), --epsilon E (0.2), --floor F
 // (0.03), --iterations I (64), --seed S (42), --workdir DIR (design_loop).
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "closed_loop.h"
 #include "core/estimators/direct.h"
 #include "core/estimators/ips.h"
 #include "core/policies/basic.h"
@@ -48,55 +47,11 @@
 #include "serve/snapshot.h"
 #include "store/dataset.h"
 #include "util/flags.h"
-#include "util/hash.h"
-#include "util/rng.h"
 
 namespace {
 
 using namespace harvest;
-
-/// Same simulated environment as harvest_serve: action a in context x pays
-/// clamp01(w_a · [1, x]) plus small uniform noise.
-struct Environment {
-  std::vector<std::vector<double>> true_weights;  // [action][dim+1]
-
-  double reward(std::span<const double> x, std::uint32_t action,
-                util::Rng& rng) const {
-    const auto& w = true_weights[action];
-    double r = w[0];
-    for (std::size_t i = 0; i < x.size(); ++i) r += w[1 + i] * x[i];
-    r += rng.uniform(-0.05, 0.05);
-    return std::clamp(r, 0.0, 1.0);
-  }
-};
-
-store::Schema make_schema(std::size_t num_actions, std::size_t dim) {
-  store::Schema schema;
-  schema.decision_event = "serve";
-  for (std::size_t i = 0; i < dim; ++i) {
-    schema.context_fields.push_back("x" + std::to_string(i));
-  }
-  schema.action_field = "action";
-  schema.reward_field = "reward";
-  schema.propensity_field = "propensity";
-  schema.num_actions = static_cast<std::uint32_t>(num_actions);
-  schema.reward_lo = 0;
-  schema.reward_hi = 1;
-  return schema;
-}
-
-logs::ScavengeSpec make_spec(const store::Schema& schema) {
-  logs::ScavengeSpec spec;
-  spec.decision_event = schema.decision_event;
-  spec.context_fields = schema.context_fields;
-  spec.action_field = schema.action_field;
-  spec.reward_field = schema.reward_field;
-  spec.propensity_field = schema.propensity_field;
-  spec.reward_transform = [](double r) { return r; };
-  spec.num_actions = schema.num_actions;
-  spec.reward_range = {schema.reward_lo, schema.reward_hi};
-  return spec;
-}
+using tools::Environment;
 
 /// Importance-weighted ridge fit on a harvest — the same fit the serve
 /// trainer publishes, exposed here so the planner and the candidate set are
@@ -159,41 +114,11 @@ core::ExplorationDataset serve_arm(
   for (std::size_t t = 0; t < threads; ++t) {
     deciders.push_back(&service.add_decider());
   }
-  std::vector<double> sums(threads, 0.0);
-  std::vector<std::thread> workers;
-  for (std::size_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      util::Rng ctx_rng(util::derive_stream_seed(seed, 2 * t));
-      util::Rng env_noise(util::derive_stream_seed(seed, 2 * t + 1));
-      double ctx[serve::kMaxContextDim] = {};
-      const std::span<const double> span(ctx, dim);
-      for (std::size_t i = 0; i < per_thread; ++i) {
-        for (std::size_t d = 0; d < dim; ++d) ctx[d] = ctx_rng.uniform();
-        const serve::Decision dec = deciders[t]->decide(span);
-        const double r = env.reward(span, dec.action, env_noise);
-        deciders[t]->log_reward(r);
-        sums[t] += r;
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  std::error_code stale_ec;
-  std::filesystem::remove_all(dir, stale_ec);
-  store::DatasetWriter writer(dir, schema);
-  service.drain([&writer](const serve::DecisionRecord& rec) {
-    if (std::isnan(rec.reward)) return;  // un-rewarded flushes
-    writer.add(rec.time, std::span<const double>(rec.context, rec.dim),
-               rec.action, rec.reward, rec.propensity);
-  });
-  writer.finish();
+  const double mean =
+      tools::serve_round(deciders, env, dim, per_thread, seed);
+  tools::log_round(service, dir, schema);
   service.reclaim_all();
-
-  double mean = 0;
-  for (double s : sums) mean += s;
-  if (mean_reward != nullptr) {
-    *mean_reward = mean / static_cast<double>(per_thread * threads);
-  }
+  if (mean_reward != nullptr) *mean_reward = mean;
   const store::Dataset dataset = store::Dataset::open(dir);
   return logs::scavenge(dataset, spec).data;
 }
@@ -298,8 +223,8 @@ int main(int argc, char** argv) {
 
   // ---- offline mode: plan from an existing HLOG harvest ------------------
   if (!harvest_dir.empty()) {
-    const store::Schema schema = make_schema(num_actions, dim);
-    const logs::ScavengeSpec spec = make_spec(schema);
+    const store::Schema schema = tools::make_schema(num_actions, dim);
+    const logs::ScavengeSpec spec = logs::spec_from_schema(schema);
     const store::Dataset dataset = store::Dataset::open(harvest_dir);
     const core::ExplorationDataset data = logs::scavenge(dataset, spec).data;
     if (data.empty()) {
@@ -324,16 +249,10 @@ int main(int argc, char** argv) {
 
   // ---- selfloop: harvest -> plan -> serve both arms -> re-measure --------
   std::filesystem::create_directories(workdir);
-  const store::Schema schema = make_schema(num_actions, dim);
-  const logs::ScavengeSpec spec = make_spec(schema);
+  const store::Schema schema = tools::make_schema(num_actions, dim);
+  const logs::ScavengeSpec spec = logs::spec_from_schema(schema);
 
-  util::Rng env_rng(util::derive_stream_seed(seed, 1000));
-  Environment env;
-  env.true_weights.assign(num_actions, std::vector<double>(dim + 1));
-  for (auto& w : env.true_weights) {
-    for (auto& v : w) v = env_rng.uniform(-0.4, 0.4);
-    w[0] += 0.5;
-  }
+  const Environment env = Environment::make(num_actions, dim, seed);
 
   // Phase 1: harvest under uniform logging (the pre-design logging policy).
   double uniform_mean = 0;

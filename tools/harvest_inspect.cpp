@@ -18,7 +18,7 @@
 //                   [--reward-lo 0 --reward-hi 1]
 //                   [--format auto|text|hlog] [--diagnostics]
 //                   [--min-time T] [--max-time T] [--only-action A]
-//                   [--trace spans.jsonl] [--inject SPEC] [--inject-seed N]
+//                   [--trace trace.json] [--inject SPEC] [--inject-seed N]
 //   harvest_inspect --selftest        # generate and process a demo log
 //
 // --format selects the input decoding; `auto` (the default) sniffs the HLOG
@@ -40,11 +40,9 @@
 //   min propensity, importance-weight tails, and the logging-vs-evaluation
 //   context-drift statistic (the A1 stationarity check).
 // --trace FILE writes the flight-recorder trace covering every pipeline
-//   stage that ran. --trace-format picks the encoding: `jsonl` (default;
-//   one span object per line with parent/child nesting, byte-compatible
-//   with pre-recorder dumps on clean runs) or `chrome` (Chrome Trace Event
-//   JSON for chrome://tracing / Perfetto, including worker-thread and
-//   store/pool events).
+//   stage that ran, as Chrome Trace Event JSON (chrome://tracing, Perfetto,
+//   tools/harvest_trace): stage spans with their parent/child nesting plus
+//   the worker-thread and store/pool events.
 // --inject SPEC corrupts the log text before ingestion with the
 //   seed-deterministic fault injector (e.g. "torn=0.05,dup=0.02,bad-p=0.01";
 //   see src/fault/fault_spec.h for the taxonomy) — a chaos rehearsal of the
@@ -74,7 +72,6 @@ int usage() {
          "                       [--only-action A]\n"
          "                       [--min-propensity P] [--max-propensity P]\n"
          "                       [--diagnostics] [--trace FILE]\n"
-         "                       [--trace-format jsonl|chrome]\n"
          "                       [--inject SPEC] [--inject-seed N]\n"
          "       harvest_inspect --selftest [--diagnostics] [--trace FILE]\n"
          "(HLOG inputs are self-describing: the field-spec flags default\n"
@@ -146,12 +143,6 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const bool diagnostics = flags.get_bool("diagnostics", false);
   const std::string trace_path = flags.get_string("trace", "");
-  const std::string trace_format = flags.get_string("trace-format", "jsonl");
-  if (trace_format != "jsonl" && trace_format != "chrome") {
-    std::cerr << "bad --trace-format '" << trace_format
-              << "' (want jsonl or chrome)\n";
-    return 2;
-  }
   // --threads N parallelizes the pipeline's estimator/training stages;
   // output is bit-identical for any value (see src/par/par.h).
   par::set_default_threads(
@@ -167,8 +158,6 @@ int main(int argc, char** argv) {
 
   std::string text;
   logs::ScavengeSpec spec;
-  spec.reward_range = {flags.get_double("reward-lo", 0.0),
-                       flags.get_double("reward-hi", 1.0)};
   spec.reward_transform = [](double r) { return r; };
 
   const bool selftest = flags.get_bool("selftest", false);
@@ -220,39 +209,29 @@ int main(int argc, char** argv) {
       std::cerr << "cannot read HLOG: " << e.what() << "\n";
       return 1;
     }
-    const store::Schema& schema =
-        dataset ? dataset->schema() : reader->schema();
-    spec.decision_event = flags.get_string("event", schema.decision_event);
+    spec = logs::spec_from_schema(dataset ? dataset->schema()
+                                          : reader->schema());
+  } else if (!selftest &&
+             (!flags.has("event") || !flags.has("context") ||
+              !flags.has("action") || !flags.has("reward") ||
+              !flags.has("actions"))) {
+    return usage();
+  }
+  if (!selftest) {
+    spec.decision_event = flags.get_string("event", spec.decision_event);
     if (flags.has("context")) {
-      for (const auto piece :
-           util::split(flags.get_string("context", ""), ',')) {
+      const std::string context = flags.get_string("context", "");
+      spec.context_fields.clear();
+      for (const auto piece : util::split(context, ',')) {
         spec.context_fields.emplace_back(util::trim(piece));
       }
-    } else {
-      spec.context_fields = schema.context_fields;
     }
-    spec.action_field = flags.get_string("action", schema.action_field);
-    spec.reward_field = flags.get_string("reward", schema.reward_field);
-    spec.propensity_field = schema.propensity_field;
-    spec.num_actions = static_cast<std::size_t>(
-        flags.get_int("actions", schema.num_actions));
-    spec.stale_after_seconds = schema.stale_after_seconds;
-    spec.reward_range = {flags.get_double("reward-lo", schema.reward_lo),
-                         flags.get_double("reward-hi", schema.reward_hi)};
-  } else if (!selftest) {
-    if (!flags.has("event") || !flags.has("context") ||
-        !flags.has("action") || !flags.has("reward") ||
-        !flags.has("actions")) {
-      return usage();
-    }
-    spec.decision_event = flags.get_string("event", "");
-    for (const auto piece :
-         util::split(flags.get_string("context", ""), ',')) {
-      spec.context_fields.emplace_back(util::trim(piece));
-    }
-    spec.action_field = flags.get_string("action", "");
-    spec.reward_field = flags.get_string("reward", "");
-    spec.num_actions = static_cast<std::size_t>(flags.get_int("actions", 0));
+    spec.action_field = flags.get_string("action", spec.action_field);
+    spec.reward_field = flags.get_string("reward", spec.reward_field);
+    spec.num_actions = static_cast<std::size_t>(flags.get_int(
+        "actions", static_cast<std::int64_t>(spec.num_actions)));
+    spec.reward_range = {flags.get_double("reward-lo", spec.reward_range.lo),
+                         flags.get_double("reward-hi", spec.reward_range.hi)};
   }
 
   // Scan-predicate flags: pushed down to the zone-mapped binary scan.
@@ -464,16 +443,10 @@ int main(int argc, char** argv) {
       std::cerr << "cannot write trace to " << trace_path << "\n";
       return 1;
     }
-    if (trace_format == "chrome") {
-      obs::Recorder& recorder = obs::Recorder::global();
-      recorder.write_chrome_trace(trace_file);
-      std::cout << "trace: " << recorder.trace_size()
-                << " events written to " << trace_path << "\n";
-    } else {
-      obs::Tracer::global().write_jsonl(trace_file);
-      std::cout << "trace: " << obs::Tracer::global().snapshot().size()
-                << " spans written to " << trace_path << "\n";
-    }
+    obs::Recorder& recorder = obs::Recorder::global();
+    recorder.write_chrome_trace(trace_file);
+    std::cout << "trace: " << recorder.trace_size() << " events written to "
+              << trace_path << "\n";
   }
   return 0;
 }

@@ -29,15 +29,13 @@
 //                          of uniform round 0; corrupt files are
 //                          quarantined with a fallback, never fatal
 //   --check-improvement    exit 1 unless final mean reward > round 0's
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "closed_loop.h"
 #include "logs/scavenger.h"
 #include "serve/persist.h"
 #include "serve/service.h"
@@ -45,58 +43,8 @@
 #include "serve/trainer.h"
 #include "store/dataset.h"
 #include "util/flags.h"
-#include "util/hash.h"
-#include "util/rng.h"
-
-namespace {
 
 using namespace harvest;
-
-/// The simulated environment: action a in context x pays
-/// clamp01(w_a · [1, x]) plus small uniform noise. Linear in the features,
-/// so the ridge retrain can actually learn it.
-struct Environment {
-  std::vector<std::vector<double>> true_weights;  // [action][dim+1]
-
-  double reward(std::span<const double> x, std::uint32_t action,
-                util::Rng& rng) const {
-    const auto& w = true_weights[action];
-    double r = w[0];
-    for (std::size_t i = 0; i < x.size(); ++i) r += w[1 + i] * x[i];
-    r += rng.uniform(-0.05, 0.05);
-    return std::clamp(r, 0.0, 1.0);
-  }
-};
-
-store::Schema make_schema(std::size_t num_actions, std::size_t dim) {
-  store::Schema schema;
-  schema.decision_event = "serve";
-  for (std::size_t i = 0; i < dim; ++i) {
-    schema.context_fields.push_back("x" + std::to_string(i));
-  }
-  schema.action_field = "action";
-  schema.reward_field = "reward";
-  schema.propensity_field = "propensity";
-  schema.num_actions = static_cast<std::uint32_t>(num_actions);
-  schema.reward_lo = 0;
-  schema.reward_hi = 1;
-  return schema;
-}
-
-logs::ScavengeSpec make_spec(const store::Schema& schema) {
-  logs::ScavengeSpec spec;
-  spec.decision_event = schema.decision_event;
-  spec.context_fields = schema.context_fields;
-  spec.action_field = schema.action_field;
-  spec.reward_field = schema.reward_field;
-  spec.propensity_field = schema.propensity_field;
-  spec.reward_transform = [](double r) { return r; };
-  spec.num_actions = schema.num_actions;
-  spec.reward_range = {schema.reward_lo, schema.reward_hi};
-  return spec;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
@@ -124,14 +72,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // A learnable environment with clearly separated actions.
-  util::Rng env_rng(util::derive_stream_seed(seed, 1000));
-  Environment env;
-  env.true_weights.assign(num_actions, std::vector<double>(dim + 1));
-  for (auto& w : env.true_weights) {
-    for (auto& v : w) v = env_rng.uniform(-0.4, 0.4);
-    w[0] += 0.5;  // keep rewards centered inside [0, 1]
-  }
+  const tools::Environment env =
+      tools::Environment::make(num_actions, dim, seed);
 
   const std::size_t per_thread = (decisions + threads - 1) / threads;
   std::size_t ring = 2;
@@ -175,52 +117,22 @@ int main(int argc, char** argv) {
   serve::SnapshotTrainer trainer(
       service, {.epsilon = epsilon, .min_rows = 32, .reward_range = {0, 1}});
 
-  const store::Schema schema = make_schema(num_actions, dim);
-  const logs::ScavengeSpec spec = make_spec(schema);
+  const store::Schema schema = tools::make_schema(num_actions, dim);
+  const logs::ScavengeSpec spec = logs::spec_from_schema(schema);
   std::filesystem::create_directories(workdir);
 
   std::vector<double> round_means;
   for (std::size_t round = 0; round <= rounds; ++round) {
-    // ---- serve one round --------------------------------------------------
-    std::vector<double> sums(threads, 0.0);
-    std::vector<std::thread> workers;
-    for (std::size_t t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        util::Rng ctx_rng(
-            util::derive_stream_seed(seed ^ (round + 1), 2 * t));
-        util::Rng env_noise(
-            util::derive_stream_seed(seed ^ (round + 1), 2 * t + 1));
-        double ctx[serve::kMaxContextDim] = {};
-        const std::span<const double> span(ctx, dim);
-        for (std::size_t i = 0; i < per_thread; ++i) {
-          for (std::size_t d = 0; d < dim; ++d) ctx[d] = ctx_rng.uniform();
-          const serve::Decision dec = deciders[t]->decide(span);
-          const double r = env.reward(span, dec.action, env_noise);
-          deciders[t]->log_reward(r);
-          sums[t] += r;
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    double mean = 0;
-    for (double s : sums) mean += s;
-    mean /= static_cast<double>(per_thread * threads);
+    // ---- serve one round, log it to HLOG ----------------------------------
+    const double mean = tools::serve_round(deciders, env, dim, per_thread,
+                                           seed ^ (round + 1));
     round_means.push_back(mean);
-
-    // ---- log the round to HLOG -------------------------------------------
+    // A resumed run re-serves round numbers a killed predecessor may have
+    // half-written; log_round starts each round's dataset from a clean slate.
     const std::string round_dir =
         workdir + "/round-" + std::to_string(round);
-    // A resumed run re-serves round numbers a killed predecessor may have
-    // half-written; start each round's dataset from a clean slate.
-    std::error_code stale_ec;
-    std::filesystem::remove_all(round_dir, stale_ec);
-    store::DatasetWriter writer(round_dir, schema);
     const serve::ServeDrainStats stats =
-        service.drain([&writer](const serve::DecisionRecord& rec) {
-          writer.add(rec.time, std::span<const double>(rec.context, rec.dim),
-                     rec.action, rec.reward, rec.propensity);
-        });
-    writer.finish();
+        tools::log_round(service, round_dir, schema);
     if (stats.dropped_total != 0) {
       std::fprintf(stderr, "harvest_serve: %llu records dropped (ring too "
                            "small for the round)\n",

@@ -1,12 +1,9 @@
 // harvest_trace — offline analyzer for flight-recorder trace dumps.
 //
-// Ingests either of the two trace encodings the repo emits:
-//   - Chrome Trace Event JSON (bench --trace-out trace.json, or
-//     harvest_inspect --trace t.json --trace-format chrome), including the
-//     pool/store/fault events recorded off the span API, or
-//   - legacy span JSONL (harvest_inspect --trace spans.jsonl), one
-//     {"id","parent","name",...} object per line,
-// and reports:
+// Ingests the Chrome Trace Event JSON the repo emits (bench --trace-out
+// trace.json, harvest_inspect --trace t.json), including the pool/store/
+// fault events recorded off the span API, in any layout — one event per
+// line as written, flattened, or pretty-printed — and reports:
 //   1. per-stage aggregate timings (count / total / mean / max per name),
 //      plus a per-name tally of instant events (e.g. store.prune_block),
 //   2. the top-N slowest individual spans,
@@ -15,9 +12,8 @@
 //   4. the critical path of the longest root span — the chain of slowest
 //      descendants, with self-time per hop.
 //
-// Nesting comes from explicit parent ids when present (scope spans, JSONL)
-// and interval containment within a thread otherwise (recorder-native
-// spans), so both encodings produce the same shape of report.
+// Nesting comes from explicit parent ids when present (scope spans) and
+// interval containment within a thread otherwise (recorder-native spans).
 //
 // Usage:
 //   harvest_trace trace.json [--top 10] [--stage-prefix pipeline.]
@@ -28,10 +24,13 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/flags.h"
+#include "util/json.h"
 #include "util/string_util.h"
 #include "util/table.h"
 
@@ -40,15 +39,15 @@ namespace {
 using harvest::util::Flags;
 using harvest::util::Table;
 using harvest::util::format_double;
+namespace json = harvest::util::json;
 
-/// One duration event, normalized from either encoding. Times are in
-/// microseconds from the trace epoch.
+/// One duration event. Times are in microseconds from the trace epoch.
 struct Span {
   std::string name;
   double ts = 0;
   double dur = 0;
   int tid = 0;
-  std::uint64_t id = 0;      // 0 when the encoding carries no id
+  std::uint64_t id = 0;      // 0 when the event carries no id
   std::uint64_t parent = 0;  // 0 = root / unknown
   bool has_ids = false;
   // par.task payload (chrome "a"/"b" args): was the task stolen, and from
@@ -64,130 +63,71 @@ struct Trace {
   std::size_t counters = 0;
 };
 
-// --- minimal JSON field scraping -----------------------------------------
-// Both encodings are emitted by this repo one object per line, so a
-// line-oriented scraper is exact for our own output and tolerant of
-// hand-edited files.
-
-std::optional<double> find_number(const std::string& line,
-                                  const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  auto pos = line.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  pos += needle.size();
-  const char* begin = line.c_str() + pos;
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end == begin) return std::nullopt;
-  return v;
+/// `obj[key]` as a number; nullopt when absent or not a number.
+std::optional<double> number(const json::Value& obj, std::string_view key) {
+  const json::Value* v = obj.find(key);
+  return v != nullptr ? v->as_double() : std::nullopt;
 }
 
-std::optional<std::string> find_string(const std::string& line,
-                                       const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  auto pos = line.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  pos += needle.size();
-  std::string out;
-  while (pos < line.size() && line[pos] != '"') {
-    if (line[pos] == '\\' && pos + 1 < line.size()) {
-      ++pos;
-      switch (line[pos]) {
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        default: out += line[pos];
-      }
-    } else {
-      out += line[pos];
-    }
-    ++pos;
+std::optional<std::uint64_t> uint_arg(const json::Value* args,
+                                      std::string_view key) {
+  const json::Value* v = args != nullptr ? args->find(key) : nullptr;
+  return v != nullptr ? v->as_uint64() : std::nullopt;
+}
+
+/// Reads a whole Chrome trace document. Throws json::Error on malformed
+/// JSON and std::runtime_error when the JSON is not Trace Event shaped.
+/// The recorder keeps at most 2^18 events, so the document stays bounded.
+Trace parse_trace(const std::string& text, const std::string& origin) {
+  const json::Value root = json::parse(text, origin);
+  const json::Value* events = root.find("traceEvents");
+  if (events == nullptr || events->as_array() == nullptr) {
+    throw std::runtime_error(origin + ": no \"traceEvents\" array");
   }
-  return out;
-}
-
-/// Parses one trace file. Chrome dumps are detected by the traceEvents
-/// envelope; anything else is treated as span JSONL.
-std::optional<Trace> parse_trace(std::istream& in) {
   Trace trace;
-  std::string first_line;
-  if (!std::getline(in, first_line)) return std::nullopt;
-  const bool chrome =
-      first_line.find("\"traceEvents\"") != std::string::npos;
-
-  std::string line = chrome ? "" : first_line;
-  bool saw_close = false;
-  do {
-    if (line.empty()) continue;
-    // Chrome body lines end with "," or "}"; the final "]}"" closes the
-    // envelope.
-    if (chrome && line.find("]}") == 0) {
-      saw_close = true;
+  for (const json::Value& event : *events->as_array()) {
+    const json::Value* name_value = event.find("name");
+    if (name_value == nullptr || name_value->as_string() == nullptr) continue;
+    const std::string& name = *name_value->as_string();
+    const json::Value* ph_value = event.find("ph");
+    if (ph_value == nullptr || ph_value->as_string() == nullptr) {
+      throw std::runtime_error(origin + ": event \"" + name + "\" has no ph");
+    }
+    const std::string& ph = *ph_value->as_string();
+    const int tid = static_cast<int>(number(event, "tid").value_or(0));
+    const json::Value* args = event.find("args");
+    if (ph == "M") {
+      // thread_name metadata: args.name holds the label.
+      const json::Value* label = args != nullptr ? args->find("name") : nullptr;
+      if (label != nullptr && label->as_string() != nullptr) {
+        trace.thread_names[tid] = *label->as_string();
+      }
       continue;
     }
-    const auto name = find_string(line, "name");
-    if (!name) continue;
-    if (chrome) {
-      const auto ph = find_string(line, "ph");
-      if (!ph) return std::nullopt;  // not Trace Event shaped after all
-      const int tid = static_cast<int>(find_number(line, "tid").value_or(0));
-      if (*ph == "M") {
-        // thread_name metadata: args.name holds the label, but find_string
-        // on "name" already matched the metadata key — re-scrape inside
-        // args.
-        const auto args_at = line.find("\"args\"");
-        if (args_at != std::string::npos) {
-          const auto label = find_string(line.substr(args_at), "name");
-          if (label) trace.thread_names[tid] = *label;
-        }
-        continue;
-      }
-      if (*ph == "i") {
-        ++trace.instants;
-        ++trace.instants_by_name[*name];
-        continue;
-      }
-      if (*ph == "C") {
-        ++trace.counters;
-        continue;
-      }
-      if (*ph != "X") continue;
-      Span span;
-      span.name = *name;
-      span.tid = tid;
-      span.ts = find_number(line, "ts").value_or(0);
-      span.dur = find_number(line, "dur").value_or(0);
-      if (const auto id = find_number(line, "id")) {
-        span.id = static_cast<std::uint64_t>(*id);
-        span.parent = static_cast<std::uint64_t>(
-            find_number(line, "parent").value_or(0));
-        span.has_ids = true;
-      }
-      if (const auto a = find_number(line, "a")) {
-        span.arg_a = static_cast<std::uint64_t>(*a);
-      }
-      if (const auto b = find_number(line, "b")) {
-        span.arg_b = static_cast<std::uint64_t>(*b);
-      }
-      trace.spans.push_back(std::move(span));
-    } else {
-      // Legacy JSONL: {"id":..,"parent":..,"name":"..","start_us":..,
-      // "duration_us":..,"depth":..}
-      const auto id = find_number(line, "id");
-      const auto start = find_number(line, "start_us");
-      const auto dur = find_number(line, "duration_us");
-      if (!id || !start || !dur) return std::nullopt;
-      Span span;
-      span.name = *name;
-      span.ts = *start;
-      span.dur = *dur;
-      span.id = static_cast<std::uint64_t>(*id);
-      span.parent = static_cast<std::uint64_t>(
-          find_number(line, "parent").value_or(0));
-      span.has_ids = true;
-      trace.spans.push_back(std::move(span));
+    if (ph == "i") {
+      ++trace.instants;
+      ++trace.instants_by_name[name];
+      continue;
     }
-  } while (std::getline(in, line));
-  if (chrome && !saw_close) return std::nullopt;  // truncated dump
+    if (ph == "C") {
+      ++trace.counters;
+      continue;
+    }
+    if (ph != "X") continue;
+    Span span;
+    span.name = name;
+    span.tid = tid;
+    span.ts = number(event, "ts").value_or(0);
+    span.dur = number(event, "dur").value_or(0);
+    if (const auto id = uint_arg(args, "id")) {
+      span.id = *id;
+      span.parent = uint_arg(args, "parent").value_or(0);
+      span.has_ids = true;
+    }
+    span.arg_a = uint_arg(args, "a");
+    span.arg_b = uint_arg(args, "b");
+    trace.spans.push_back(std::move(span));
+  }
   return trace;
 }
 
@@ -256,7 +196,7 @@ Forest build_forest(const std::vector<Span>& spans) {
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   if (flags.positional().empty()) {
-    std::cerr << "usage: harvest_trace <trace.json|spans.jsonl> [--top N]\n"
+    std::cerr << "usage: harvest_trace <trace.json> [--top N]\n"
                  "                     [--stage-prefix PFX]\n";
     return 2;
   }
@@ -265,18 +205,21 @@ int main(int argc, char** argv) {
           flags.get_int("top", 10), 1));
   const std::string stage_prefix = flags.get_string("stage-prefix", "");
 
-  std::ifstream file(flags.positional().front());
+  const std::string& path = flags.positional().front();
+  std::ifstream file(path, std::ios::binary);
   if (!file) {
-    std::cerr << "cannot open " << flags.positional().front() << "\n";
+    std::cerr << "cannot open " << path << "\n";
     return 1;
   }
-  const auto parsed = parse_trace(file);
-  if (!parsed) {
-    std::cerr << "not a recognizable trace dump (want Chrome Trace Event "
-                 "JSON or span JSONL)\n";
+  std::ostringstream text;
+  text << file.rdbuf();
+  Trace trace;
+  try {
+    trace = parse_trace(text.str(), path);
+  } catch (const std::exception& e) {
+    std::cerr << "not a Chrome trace: " << e.what() << "\n";
     return 1;
   }
-  const Trace& trace = *parsed;
   if (trace.spans.empty()) {
     std::cerr << "trace holds no duration events\n";
     return 1;
