@@ -191,8 +191,22 @@ ScanResult Dataset::scan(par::ThreadPool* pool) const {
 
 ScanResult Dataset::scan(const ScanPredicate& predicate,
                          par::ThreadPool* pool) const {
+  // One part (what a closed-loop round writes) is its reader's scan as is.
+  if (readers_.size() == 1) return readers_.front().scan(predicate, pool);
+
   ScanResult out;
   out.context_dim = schema_.context_fields.size();
+  // A full scan keeps every healthy row, so the columns are sized once for
+  // the dataset's row count. What a predicate keeps is unknown until the
+  // parts are scanned, and one part's result is held at a time.
+  if (predicate.trivial()) {
+    const auto total = static_cast<std::size_t>(rows());
+    out.time.reserve(total);
+    out.context.reserve(total * out.context_dim);
+    out.action.reserve(total);
+    out.reward.reserve(total);
+    out.propensity.reserve(total);
+  }
   std::size_t shard_base = 0;
   std::size_t block_base = 0;
   for (const Reader& reader : readers_) {

@@ -23,9 +23,8 @@
 // Per-shard counts mirror each file's footer (cross-checked at open);
 // the top-level counts carry ingestion drops that happened before
 // partitioning, so `decisions_seen == rows + total_dropped()` reconciles
-// for the dataset exactly as it does for a single file. The parser is a
-// deliberately small hand-rolled JSON reader — the store has no external
-// dependencies and the manifest grammar is fixed.
+// for the dataset exactly as it does for a single file. The manifest is
+// read with util::json, the repository's one strict JSON reader.
 #pragma once
 
 #include <cstdint>

@@ -3,25 +3,35 @@
 // codecs (XOR-prev f64, delta-zigzag u32). Everything here is pure
 // function-of-input — no locale, no platform byte-order dependence — which
 // is what makes writer output and reader scans bit-reproducible anywhere.
+//
+// The column codecs work through plain pointers: an encoder stores into a
+// caller-sized buffer (kMaxVarintBytes per value) and returns its new end; a
+// decoder advances a cursor through one payload and never reads outside it.
+// The std::string forms below are thin wrappers for the cold sections
+// (schema, footer, dictionary) and tests.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace harvest::store {
 
 // ---- fixed-width little-endian primitives ---------------------------------
 
+inline char* put_u32(char* p, std::uint32_t v) {
+  p[0] = static_cast<char>(v & 0xFF);
+  p[1] = static_cast<char>((v >> 8) & 0xFF);
+  p[2] = static_cast<char>((v >> 16) & 0xFF);
+  p[3] = static_cast<char>((v >> 24) & 0xFF);
+  return p + 4;
+}
+
 inline void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
+  char bytes[4];
+  out.append(bytes, put_u32(bytes, v));
 }
 
 inline void put_u16(std::string& out, std::uint16_t v) {
@@ -54,8 +64,14 @@ inline std::uint32_t get_u32(const char* p) {
 }
 
 inline std::uint64_t get_u64(const char* p) {
-  return static_cast<std::uint64_t>(get_u32(p)) |
-         (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  } else {
+    return static_cast<std::uint64_t>(get_u32(p)) |
+           (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
+  }
 }
 
 inline double get_f64(const char* p) {
@@ -64,21 +80,59 @@ inline double get_f64(const char* p) {
 
 // ---- varint / zigzag ------------------------------------------------------
 
-inline void put_varint(std::string& out, std::uint64_t v) {
+/// Longest LEB128 encoding of a 64-bit value: the room an encoder needs per
+/// value.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Stores `v` as LEB128 at `p` (which has kMaxVarintBytes of room); returns
+/// the end of the encoding.
+inline char* put_varint(char* p, std::uint64_t v) {
   while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7F) | 0x80));
+    *p++ = static_cast<char>((v & 0x7F) | 0x80);
     v >>= 7;
   }
-  out.push_back(static_cast<char>(v));
+  *p++ = static_cast<char>(v);
+  return p;
+}
+
+inline void put_varint(std::string& out, std::uint64_t v) {
+  char bytes[kMaxVarintBytes];
+  out.append(bytes, put_varint(bytes, v));
 }
 
 /// Decodes one varint from [*pos, data.size()); advances *pos. Returns false
 /// on truncation or a varint longer than 10 bytes (overlong encodings of
 /// values that fit 64 bits are accepted; the writer never emits them).
+///
+/// With at least 8 bytes left it loads them as one little-endian word: the
+/// lowest clear high bit marks the stop byte, and the 7-bit groups up to it
+/// are gathered with shifts and masks. A varint with no stop byte in the
+/// word (9–10 bytes, or damage) continues in the byte loop from its ninth
+/// byte, and the last bytes of a payload take the byte loop alone. Every
+/// path yields the value, cursor and verdict of the byte loop, and none
+/// reads past data.size().
 inline bool get_varint(std::string_view data, std::size_t* pos,
                        std::uint64_t* out) {
   std::uint64_t v = 0;
   int shift = 0;
+  if (data.size() >= 8 && *pos <= data.size() - 8) {
+    const std::uint64_t word = get_u64(data.data() + *pos);
+    const std::uint64_t stops = ~word & 0x8080808080808080ull;
+    // Keep the bytes up to and including the stop byte (all eight when
+    // there is none), then pack their 7-bit groups into contiguous bits; the
+    // first step's masks drop the continuation bits.
+    v = word & (stops ^ (stops - 1));
+    v = (v & 0x007F007F007F007Full) | ((v & 0x7F007F007F007F00ull) >> 1);
+    v = (v & 0x00003FFF00003FFFull) | ((v & 0x3FFF00003FFF0000ull) >> 2);
+    v = (v & 0x000000000FFFFFFFull) | ((v & 0x0FFFFFFF00000000ull) >> 4);
+    if (stops != 0) {
+      *out = v;
+      *pos += static_cast<std::size_t>(std::countr_zero(stops) / 8 + 1);
+      return true;
+    }
+    *pos += 8;
+    shift = 56;
+  }
   while (*pos < data.size() && shift < 70) {
     const auto byte = static_cast<unsigned char>(data[*pos]);
     ++*pos;
@@ -103,115 +157,71 @@ inline std::int64_t unzigzag(std::uint64_t v) {
 }
 
 // ---- column codecs --------------------------------------------------------
+// One encoder and one decoder per column kind. An encoder writes `rows`
+// varints at `out` (room for rows * kMaxVarintBytes) and returns the end. A
+// decoder reads `rows` values from payload[*pos, ...) and advances *pos past
+// them (also on failure, as far as it got); callers that expect the payload
+// to be exactly one stream check *pos == payload.size() themselves. The
+// stride lets the field-major context column scatter into row-major arrays.
 
-/// f64 column: varint of bits(v[i]) XOR bits(v[i-1]), prev starts at 0.
+/// f64 stream: varint of bits(v[i]) XOR bits(v[i-1]), prev starts at 0.
 /// Exact for every bit pattern; constant runs cost one byte per row.
-inline void encode_f64_column(std::span<const double> values,
-                              std::string& out) {
-  std::uint64_t prev = 0;
-  for (const double v : values) {
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-    put_varint(out, bits ^ prev);
-    prev = bits;
-  }
-}
-
-/// Decodes exactly `rows` values into `out` (appended). Returns false when
-/// the payload is truncated or has trailing garbage — treated by the reader
-/// as block corruption that slipped past a CRC collision.
-inline bool decode_f64_column(std::string_view payload, std::size_t rows,
-                              std::vector<double>& out) {
-  std::size_t pos = 0;
-  std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < rows; ++i) {
-    std::uint64_t delta = 0;
-    if (!get_varint(payload, &pos, &delta)) return false;
-    prev ^= delta;
-    out.push_back(std::bit_cast<double>(prev));
-  }
-  return pos == payload.size();
-}
-
-/// Same codec, decoding into a pre-assigned slot (parallel shard scans
-/// write disjoint ranges of one output array).
-inline bool decode_f64_column_into(std::string_view payload, std::size_t rows,
-                                   double* out) {
-  std::size_t pos = 0;
-  std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < rows; ++i) {
-    std::uint64_t delta = 0;
-    if (!get_varint(payload, &pos, &delta)) return false;
-    prev ^= delta;
-    out[i] = std::bit_cast<double>(prev);
-  }
-  return pos == payload.size();
-}
-
-/// Action column: varint of zigzag(delta), prev starts at 0. Small action
-/// sets make every delta a single byte.
-inline void encode_u32_column(std::span<const std::uint32_t> values,
-                              std::string& out) {
-  std::int64_t prev = 0;
-  for (const std::uint32_t v : values) {
-    put_varint(out, zigzag(static_cast<std::int64_t>(v) - prev));
-    prev = static_cast<std::int64_t>(v);
-  }
-}
-
-inline bool decode_u32_column_into(std::string_view payload, std::size_t rows,
-                                   std::uint32_t* out) {
-  std::size_t pos = 0;
-  std::int64_t prev = 0;
-  for (std::size_t i = 0; i < rows; ++i) {
-    std::uint64_t raw = 0;
-    if (!get_varint(payload, &pos, &raw)) return false;
-    prev += unzigzag(raw);
-    if (prev < 0 || prev > 0xFFFFFFFFll) return false;
-    out[i] = static_cast<std::uint32_t>(prev);
-  }
-  return pos == payload.size();
-}
-
-// ---- field streams --------------------------------------------------------
-// The v2 context column is field-major: one stream per context field, all
-// sharing a single payload. These variants advance a cursor instead of
-// demanding the payload be exactly one stream, and take a stride so decode
-// can scatter straight into the row-major output array.
-
-inline void encode_f64_stream(const double* values, std::size_t rows,
-                              std::size_t stride, std::string& out) {
+inline char* encode_f64(const double* values, std::size_t rows,
+                        std::size_t stride, char* out) {
   std::uint64_t prev = 0;
   for (std::size_t i = 0; i < rows; ++i) {
     const std::uint64_t bits = std::bit_cast<std::uint64_t>(values[i * stride]);
-    put_varint(out, bits ^ prev);
+    out = put_varint(out, bits ^ prev);
     prev = bits;
   }
+  return out;
 }
 
-inline bool decode_f64_stream(std::string_view payload, std::size_t* pos,
-                              std::size_t rows, double* out,
-                              std::size_t stride) {
+inline bool decode_f64(std::string_view payload, std::size_t* pos,
+                       std::size_t rows, double* out, std::size_t stride) {
+  std::size_t at = *pos;
   std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < rows; ++i) {
+  std::size_t i = 0;
+  for (; i < rows; ++i) {
     std::uint64_t delta = 0;
-    if (!get_varint(payload, pos, &delta)) return false;
+    if (!get_varint(payload, &at, &delta)) break;
     prev ^= delta;
     out[i * stride] = std::bit_cast<double>(prev);
   }
-  return true;
+  *pos = at;
+  return i == rows;
 }
 
-inline bool decode_u32_stream(std::string_view payload, std::size_t* pos,
-                              std::size_t rows, std::uint32_t* out) {
+/// u32 stream (actions, dictionary codes): varint of zigzag(delta), prev
+/// starts at 0. Small action sets make every delta a single byte. A delta
+/// that leaves [0, 2^32) fails the decode.
+inline char* encode_u32(const std::uint32_t* values, std::size_t rows,
+                        char* out) {
   std::int64_t prev = 0;
   for (std::size_t i = 0; i < rows; ++i) {
+    const auto v = static_cast<std::int64_t>(values[i]);
+    out = put_varint(out, zigzag(v - prev));
+    prev = v;
+  }
+  return out;
+}
+
+inline bool decode_u32(std::string_view payload, std::size_t* pos,
+                       std::size_t rows, std::uint32_t* out) {
+  std::size_t at = *pos;
+  // In [0, 2^32) between rows. Unsigned, so a hostile delta wraps instead
+  // of overflowing; any wrapped sum still lands outside [0, 2^32).
+  std::uint64_t prev = 0;
+  std::size_t i = 0;
+  for (; i < rows; ++i) {
     std::uint64_t raw = 0;
-    if (!get_varint(payload, pos, &raw)) return false;
-    prev += unzigzag(raw);
-    if (prev < 0 || prev > 0xFFFFFFFFll) return false;
+    if (!get_varint(payload, &at, &raw)) break;
+    prev += static_cast<std::uint64_t>(unzigzag(raw));
+    if (prev > 0xFFFFFFFFu) break;
     out[i] = static_cast<std::uint32_t>(prev);
   }
-  return true;
+  *pos = at;
+  return i == rows;
 }
 
 // ---- length-prefixed strings (schema section) -----------------------------

@@ -79,7 +79,7 @@ bool decode_context_column(std::string_view payload, std::size_t rows,
     }
     const auto tag = static_cast<std::uint8_t>(payload[pos++]);
     if (tag == kContextRaw) {
-      if (!decode_f64_stream(payload, &pos, rows, out + f, dim)) {
+      if (!decode_f64(payload, &pos, rows, out + f, dim)) {
         *reason = "decode_error";
         return false;
       }
@@ -89,7 +89,7 @@ bool decode_context_column(std::string_view payload, std::size_t rows,
         return false;
       }
       codes.resize(rows);
-      if (!decode_u32_stream(payload, &pos, rows, codes.data())) {
+      if (!decode_u32(payload, &pos, rows, codes.data())) {
         *reason = "decode_error";
         return false;
       }
@@ -394,18 +394,26 @@ ScanResult Reader::scan(const ScanPredicate& predicate,
               }
             }
             if (good) {
+              // Each column payload must hold exactly one stream: a decode
+              // that stops short of its end is trailing garbage.
               const auto at = static_cast<std::size_t>(row);
-              good = decode_f64_column_into(payload[0], rows,
-                                            result.time.data() + at) &&
+              const auto f64 = [&](std::size_t col, double* out) {
+                std::size_t pos = 0;
+                return decode_f64(payload[col], &pos, rows, out, 1) &&
+                       pos == payload[col].size();
+              };
+              const auto u32 = [&](std::size_t col, std::uint32_t* out) {
+                std::size_t pos = 0;
+                return decode_u32(payload[col], &pos, rows, out) &&
+                       pos == payload[col].size();
+              };
+              good = f64(0, result.time.data() + at) &&
                      decode_context_column(payload[1], rows, dim,
                                            result.context.data() + at * dim,
                                            dict, dict_ok, codes, &bad_reason) &&
-                     decode_u32_column_into(payload[2], rows,
-                                            result.action.data() + at) &&
-                     decode_f64_column_into(payload[3], rows,
-                                            result.reward.data() + at) &&
-                     decode_f64_column_into(payload[4], rows,
-                                            result.propensity.data() + at);
+                     u32(2, result.action.data() + at) &&
+                     f64(3, result.reward.data() + at) &&
+                     f64(4, result.propensity.data() + at);
               if (good) {
                 bad_reason.clear();
               } else if (bad_reason.empty()) {

@@ -41,7 +41,11 @@ std::string encode_header_and_schema(const Schema& schema) {
 }
 
 Writer::Writer(std::ostream& out, Schema schema, WriterOptions options)
-    : out_(out), schema_(std::move(schema)), options_(options) {
+    : out_(out),
+      schema_(std::move(schema)),
+      options_(options),
+      blocks_written_(
+          obs::Registry::global().counter("store_blocks_written_total")) {
   if (schema_.decision_event.empty()) {
     throw std::invalid_argument("store::Writer: decision_event required");
   }
@@ -93,7 +97,7 @@ void Writer::add(double time, std::span<const double> context,
 // the first block that would overflow rolls back the entries it tentatively
 // added (they are exactly the tail of the insertion-ordered value list) and
 // the field stays raw for the rest of the shard.
-void Writer::encode_context_column(std::string& out) {
+char* Writer::encode_context_column(char* out) {
   const std::size_t dim = schema_.context_fields.size();
   const std::size_t rows = time_.size();
   for (std::size_t f = 0; f < dim; ++f) {
@@ -126,13 +130,14 @@ void Writer::encode_context_column(std::string& out) {
       }
     }
     if (use_dict) {
-      out.push_back(static_cast<char>(kContextDict));
-      encode_u32_column(code_scratch_, out);
+      *out++ = static_cast<char>(kContextDict);
+      out = encode_u32(code_scratch_.data(), rows, out);
     } else {
-      out.push_back(static_cast<char>(kContextRaw));
-      encode_f64_stream(context_.data() + f, rows, dim, out);
+      *out++ = static_cast<char>(kContextRaw);
+      out = encode_f64(context_.data() + f, rows, dim, out);
     }
   }
+  return out;
 }
 
 void Writer::flush_block() {
@@ -170,29 +175,37 @@ void Writer::flush_block() {
     zone.max_propensity = std::numeric_limits<double>::infinity();
   }
 
-  std::string block;
-  put_u32(block, kBlockMagic);
-  put_u32(block, rows);
+  // The whole block is encoded in place: magic and row count, then per
+  // column an 8-byte slot that receives the payload's length and CRC once
+  // the payload behind it is written. Sized for the worst case: one tag
+  // byte per context field and kMaxVarintBytes per value.
+  const std::size_t dim = schema_.context_fields.size();
+  const std::size_t worst = 8 + 8 * kNumColumns + dim +
+                            kMaxVarintBytes * rows * (kNumColumns - 1 + dim);
+  if (block_.size() < worst) block_.resize(worst);
+  char* const begin = block_.data();
+  char* end = put_u32(put_u32(begin, kBlockMagic), rows);
   const auto column = [&](auto encode) {
-    scratch_.clear();
-    encode(scratch_);
-    put_u32(block, static_cast<std::uint32_t>(scratch_.size()));
-    put_u32(block, crc32c(scratch_));
-    block += scratch_;
+    char* const payload = end + 8;
+    end = encode(payload);
+    const auto bytes = static_cast<std::size_t>(end - payload);
+    put_u32(put_u32(payload - 8, static_cast<std::uint32_t>(bytes)),
+            crc32c({payload, bytes}));
   };
-  column([&](std::string& out) { encode_f64_column(time_, out); });
-  column([&](std::string& out) { encode_context_column(out); });
-  column([&](std::string& out) { encode_u32_column(action_, out); });
-  column([&](std::string& out) { encode_f64_column(reward_, out); });
-  column([&](std::string& out) { encode_f64_column(propensity_, out); });
+  column([&](char* out) { return encode_f64(time_.data(), rows, 1, out); });
+  column([&](char* out) { return encode_context_column(out); });
+  column([&](char* out) { return encode_u32(action_.data(), rows, out); });
+  column([&](char* out) { return encode_f64(reward_.data(), rows, 1, out); });
+  column(
+      [&](char* out) { return encode_f64(propensity_.data(), rows, 1, out); });
 
-  out_.write(block.data(), static_cast<std::streamsize>(block.size()));
-  offset_ += block.size();
+  const auto bytes = static_cast<std::size_t>(end - begin);
+  out_.write(begin, static_cast<std::streamsize>(bytes));
+  offset_ += bytes;
   shard_rows_ += rows;
   ++shard_blocks_;
-  block_index_.push_back(
-      {static_cast<std::uint32_t>(block.size()), rows, zone});
-  obs::Registry::global().counter("store_blocks_written_total").add(1.0);
+  block_index_.push_back({static_cast<std::uint32_t>(bytes), rows, zone});
+  blocks_written_.add(1.0);
 
   time_.clear();
   context_.clear();
@@ -208,15 +221,15 @@ void Writer::close_shard() {
 
   // Dictionary section: per context field, count + the insertion-ordered
   // values (count 0 when the field was never dictionary-coded this shard).
-  scratch_.clear();
+  std::string payload;
   for (auto& dict : dicts_) {
-    put_u32(scratch_, static_cast<std::uint32_t>(dict.values.size()));
-    for (const double v : dict.values) put_f64(scratch_, v);
+    put_u32(payload, static_cast<std::uint32_t>(dict.values.size()));
+    for (const double v : dict.values) put_f64(payload, v);
   }
   std::string section;
-  put_u32(section, static_cast<std::uint32_t>(scratch_.size()));
-  put_u32(section, crc32c(scratch_));
-  section += scratch_;
+  put_u32(section, static_cast<std::uint32_t>(payload.size()));
+  put_u32(section, crc32c(payload));
+  section += payload;
   out_.write(section.data(), static_cast<std::streamsize>(section.size()));
   offset_ += section.size();
   for (auto& dict : dicts_) {

@@ -21,6 +21,10 @@
 
 #include "store/format.h"
 
+namespace harvest::obs {
+class Counter;
+}
+
 namespace harvest::store {
 
 /// Block/shard geometry. Blocks are the unit of CRC protection, corruption
@@ -86,7 +90,8 @@ class Writer {
 
   void flush_block();
   void close_shard();
-  void encode_context_column(std::string& out);
+  /// Encodes the context column at `out` and returns its end.
+  char* encode_context_column(char* out);
 
   std::ostream& out_;
   Schema schema_;
@@ -110,8 +115,11 @@ class Writer {
   std::uint32_t shard_blocks_ = 0;
   std::uint64_t rows_written_ = 0;
   bool finished_ = false;
-  std::string scratch_;  ///< reused encode buffer
+  std::vector<char> block_;  ///< reused block buffer, grown to the worst case
   std::vector<std::uint32_t> code_scratch_;
+  /// store_blocks_written_total, resolved once; valid as long as nothing
+  /// clears the global registry while this writer is alive.
+  obs::Counter& blocks_written_;
 };
 
 /// Serializes the schema payload (shared by Writer and the reader's

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -16,6 +20,35 @@
 
 namespace harvest::store {
 namespace {
+
+/// A whole column payload through the pointer codecs, framed the way the
+/// writer and reader frame it: the encoder sized to the worst case, the
+/// decoder required to consume the payload exactly.
+std::string encode_f64_payload(const std::vector<double>& values) {
+  std::string out(values.size() * kMaxVarintBytes, '\0');
+  out.resize(static_cast<std::size_t>(
+      encode_f64(values.data(), values.size(), 1, out.data()) - out.data()));
+  return out;
+}
+
+std::string encode_u32_payload(const std::vector<std::uint32_t>& values) {
+  std::string out(values.size() * kMaxVarintBytes, '\0');
+  out.resize(static_cast<std::size_t>(
+      encode_u32(values.data(), values.size(), out.data()) - out.data()));
+  return out;
+}
+
+bool decode_f64_payload(std::string_view payload, std::size_t rows,
+                        double* out) {
+  std::size_t pos = 0;
+  return decode_f64(payload, &pos, rows, out, 1) && pos == payload.size();
+}
+
+bool decode_u32_payload(std::string_view payload, std::size_t rows,
+                        std::uint32_t* out) {
+  std::size_t pos = 0;
+  return decode_u32(payload, &pos, rows, out) && pos == payload.size();
+}
 
 TEST(Crc32cTest, KnownVectors) {
   // RFC 3720 / Castagnoli check value.
@@ -155,10 +188,9 @@ TEST(EncodingTest, F64ColumnRoundTripsEveryBitPattern) {
       std::numeric_limits<double>::denorm_min(),
       std::numeric_limits<double>::max(),
       4.9406564584124654e-324};
-  std::string buf;
-  encode_f64_column(values, buf);
-  std::vector<double> back;
-  ASSERT_TRUE(decode_f64_column(buf, values.size(), back));
+  const std::string buf = encode_f64_payload(values);
+  std::vector<double> back(values.size());
+  ASSERT_TRUE(decode_f64_payload(buf, values.size(), back.data()));
   ASSERT_EQ(back.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(back[i]),
@@ -169,37 +201,33 @@ TEST(EncodingTest, F64ColumnRoundTripsEveryBitPattern) {
 
 TEST(EncodingTest, ConstantF64ColumnIsOneBytePerRowAfterFirst) {
   const std::vector<double> values(1000, 1.0);
-  std::string buf;
-  encode_f64_column(values, buf);
+  const std::string buf = encode_f64_payload(values);
   // First row carries bits(1.0); every later XOR-delta is 0 → one byte.
   EXPECT_LE(buf.size(), 999u + 10u);
 }
 
 TEST(EncodingTest, F64ColumnRejectsTruncationAndTrailingGarbage) {
   const std::vector<double> values = {3.14, 2.71, 1.41};
-  std::string buf;
-  encode_f64_column(values, buf);
-  std::vector<double> out;
+  const std::string buf = encode_f64_payload(values);
+  std::vector<double> out(values.size());
   std::string truncated = buf.substr(0, buf.size() - 1);
-  EXPECT_FALSE(decode_f64_column(truncated, values.size(), out));
-  out.clear();
+  EXPECT_FALSE(decode_f64_payload(truncated, values.size(), out.data()));
   std::string padded = buf + '\0';
-  EXPECT_FALSE(decode_f64_column(padded, values.size(), out));
+  EXPECT_FALSE(decode_f64_payload(padded, values.size(), out.data()));
 }
 
 TEST(EncodingTest, U32ColumnRoundTripAndBoundsCheck) {
   const std::vector<std::uint32_t> values = {0, 5, 2, 2, 0xFFFFFFFFu, 0, 7};
-  std::string buf;
-  encode_u32_column(values, buf);
+  const std::string buf = encode_u32_payload(values);
   std::vector<std::uint32_t> back(values.size());
-  ASSERT_TRUE(decode_u32_column_into(buf, values.size(), back.data()));
+  ASSERT_TRUE(decode_u32_payload(buf, values.size(), back.data()));
   EXPECT_EQ(back, values);
 
   // A delta that drives the running value negative must be rejected.
   std::string bad;
   put_varint(bad, zigzag(-1));
   std::uint32_t one = 0;
-  EXPECT_FALSE(decode_u32_column_into(bad, 1, &one));
+  EXPECT_FALSE(decode_u32_payload(bad, 1, &one));
 }
 
 TEST(FormatTest, MagicDetection) {
@@ -353,6 +381,91 @@ TEST(FormatTest, ManifestRejectsDeepNestingWithItsOwnError) {
     const std::string what = e.what();
     EXPECT_EQ(what.rfind("hlog dataset: deep: ", 0), 0u) << what;
   }
+}
+
+/// Pins the exact bytes the writer emits: a fixed-seed dataset whose part
+/// files must keep their length and CRC32C. Every value comes from util::Rng
+/// through integer, bit and single correctly rounded IEEE-754 operations, so
+/// the files are the same on any IEEE-754 host. The corpus walks every
+/// writer path: three part files (a DatasetWriter roll), several shards per
+/// part with a partial last block, a dictionary-coded field, a field whose
+/// dictionary overflows in the second block of a shard (the rollback path),
+/// raw fields with NaN payloads, -0.0, denormals and infinities, multi-byte
+/// action deltas, and NaN time and propensity rows that widen their block's
+/// zone map.
+TEST(FormatTest, WriterBytesArePinned) {
+  Schema schema;
+  schema.decision_event = "decide";
+  schema.context_fields = {"tier", "load", "x", "y"};
+  schema.action_field = "a";
+  schema.reward_field = "r";
+  schema.propensity_field = "p";
+  schema.num_actions = 1000000;
+  schema.reward_lo = -1.0;
+  schema.reward_hi = 1.0;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {std::bit_cast<double>(0x7FF8000000000001ull),
+                             std::bit_cast<double>(0xFFF800000000BEEFull),
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             0x1p-1040,
+                             inf,
+                             -inf};
+
+  const std::string dir = testing::TempDir() + "hlog_pinned_bytes";
+  std::filesystem::remove_all(dir);
+  {
+    DatasetWriter writer(
+        dir, schema,
+        {.rows_per_block = 64, .blocks_per_shard = 3, .max_dict_entries = 16},
+        500);
+    util::Rng rng(20261017);
+    double context[4];
+    for (std::size_t i = 0; i < 1100; ++i) {
+      context[0] = static_cast<double>(rng.uniform_index(5)) * 0.25;
+      context[1] =
+          static_cast<double>(rng.uniform_index(i % 192 < 96 ? 8 : 64));
+      context[2] = rng.uniform(-100.0, 100.0);
+      context[3] = i % 13 == 0
+                       ? specials[rng.uniform_index(std::size(specials))]
+                       : static_cast<double>(rng.uniform_index(1000)) / 8.0;
+      const double time = i % 301 == 7 ? nan : static_cast<double>(i) * 0.5;
+      const auto action = static_cast<std::uint32_t>(
+          i % 97 == 0 ? 999999 : rng.uniform_index(3));
+      const double reward = i % 4 == 0    ? 1.0
+                            : i % 11 == 0 ? -0.0
+                                          : rng.uniform(-1.0, 1.0);
+      const double propensity = i % 257 == 3 ? nan
+                                : action < 3 ? 1.0 / 3.0
+                                             : 0.5;
+      writer.add(time, context, action, reward, propensity);
+    }
+    writer.finish();
+  }
+
+  struct Pin {
+    const char* file;
+    std::size_t bytes;
+    std::uint32_t crc;
+  };
+  const Pin pins[] = {{"part-00000.hlog", 22493, 2344524585u},
+                      {"part-00001.hlog", 23574, 1959066324u},
+                      {"part-00002.hlog", 4626, 1648931739u}};
+  const Dataset dataset = Dataset::open(dir);
+  ASSERT_EQ(dataset.manifest().shards.size(), std::size(pins));
+  for (const Pin& pin : pins) {
+    std::ifstream in(dir + "/" + pin.file, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    const std::string file = bytes.str();
+    EXPECT_EQ(file.size(), pin.bytes) << pin.file;
+    EXPECT_EQ(crc32c(file), pin.crc) << pin.file;
+  }
+  const ScanResult scan = dataset.scan();
+  EXPECT_EQ(scan.rows(), 1100u);
+  EXPECT_TRUE(scan.quarantined.empty());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -373,7 +373,8 @@ int main(int argc, char** argv) {
 
   logs::ScavengeSpec spec;
   spec.decision_event = flags.get_string("event", "");
-  for (const auto piece : util::split(flags.get_string("context", ""), ',')) {
+  const std::string context = flags.get_string("context", "");
+  for (const auto piece : util::split(context, ',')) {
     spec.context_fields.emplace_back(util::trim(piece));
   }
   spec.action_field = flags.get_string("action", "");
