@@ -3,7 +3,9 @@
 // single digits to low hundreds), so no BLAS is warranted.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -46,5 +48,47 @@ double dot(std::span<const double> a, std::span<const double> b);
 /// bit-identical to it. Throws std::invalid_argument unless
 /// w.size() == x.size() + 1.
 double dot_bias_first(std::span<const double> w, std::span<const double> x);
+
+/// The argmax rule of every greedy choice: the lowest id among the largest
+/// non-NaN values of score(0), ..., score(n - 1), or 0 when every score is
+/// NaN. So ties go to the lowest id and a NaN score never wins. `score` is
+/// called a second time for some ids when no score exceeds -inf.
+template <typename Score>
+std::size_t argmax_first(std::size_t n, Score score) {
+  const double lowest = -std::numeric_limits<double>::infinity();
+  double best = lowest;
+  std::size_t arg = 0;
+  for (std::size_t a = 0; a < n; ++a) {
+    const double s = score(a);
+    // A plain ">" from -inf compiles without a branch; a NaN test here
+    // compiled to a data-dependent branch that made decide() 12-39% slower
+    // across the roundbench workloads.
+    if (s > best) {
+      best = s;
+      arg = a;
+    }
+  }
+  if (best == lowest) {  // every score is -inf or NaN: the first -inf leads
+    for (std::size_t a = 0; a < n; ++a) {
+      if (!std::isnan(score(a))) return a;
+    }
+  }
+  return arg;
+}
+
+/// The one linear-scoring kernel: argmax_a dot_bias_first(w_a, x) over
+/// `num_actions` bias-first rows of x.size() + 1 doubles laid end to end,
+/// with dot_bias_first's operations in the same order and argmax_first's
+/// rule. Throws std::invalid_argument unless num_actions > 0 and
+/// weights.size() == num_actions * (x.size() + 1).
+std::size_t argmax_bias_first(std::span<const double> weights,
+                              std::size_t num_actions,
+                              std::span<const double> x);
+
+/// Lays equal-length rows end to end, the layout argmax_bias_first reads.
+/// Throws std::invalid_argument if there are no rows, the rows are empty,
+/// or their lengths differ.
+std::vector<double> flatten_rows(
+    const std::vector<std::vector<double>>& rows);
 
 }  // namespace harvest::core

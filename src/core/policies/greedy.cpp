@@ -14,43 +14,20 @@ GreedyPolicy::GreedyPolicy(RewardModelPtr model, std::string name)
 }
 
 ActionId GreedyPolicy::choose(const FeatureVector& x) const {
-  ActionId best = 0;
-  double best_score = model_->predict(x, 0);
-  for (std::size_t a = 1; a < num_actions(); ++a) {
-    const double s = model_->predict(x, static_cast<ActionId>(a));
-    if (s > best_score) {
-      best_score = s;
-      best = static_cast<ActionId>(a);
-    }
-  }
-  return best;
+  return static_cast<ActionId>(argmax_first(num_actions(), [&](std::size_t a) {
+    return model_->predict(x, static_cast<ActionId>(a));
+  }));
 }
 
-LinearPolicy::LinearPolicy(std::vector<std::vector<double>> weights,
+LinearPolicy::LinearPolicy(const std::vector<std::vector<double>>& weights,
                            std::string name)
     : DeterministicPolicy(weights.size()),
-      weights_(std::move(weights)),
-      name_(std::move(name)) {
-  if (weights_.empty()) throw std::invalid_argument("LinearPolicy: empty");
-  const std::size_t dim = weights_.front().size();
-  for (const auto& w : weights_) {
-    if (w.size() != dim || dim == 0) {
-      throw std::invalid_argument("LinearPolicy: ragged weights");
-    }
-  }
-}
+      weights_(flatten_rows(weights)),
+      name_(std::move(name)) {}
 
 ActionId LinearPolicy::choose(const FeatureVector& x) const {
-  ActionId best = 0;
-  double best_score = dot_bias_first(weights_[0], x.values());
-  for (std::size_t a = 1; a < weights_.size(); ++a) {
-    const double s = dot_bias_first(weights_[a], x.values());
-    if (s > best_score) {
-      best_score = s;
-      best = static_cast<ActionId>(a);
-    }
-  }
-  return best;
+  return static_cast<ActionId>(
+      argmax_bias_first(weights_, num_actions(), x.values()));
 }
 
 ThresholdPolicy::ThresholdPolicy(std::size_t num_actions, std::size_t feature,

@@ -7,8 +7,10 @@
 
 namespace harvest::core {
 
-/// Plays argmax_a r̂(x, a) over a fitted reward model. Ties break toward the
-/// lower action id (deterministic, so off-policy evaluation is exact).
+/// Plays argmax_a r̂(x, a) over a fitted reward model by core::argmax_first,
+/// the rule argmax_bias_first follows too: ties break toward the lower
+/// action id (deterministic, so off-policy evaluation is exact) and a NaN
+/// prediction never wins.
 class GreedyPolicy final : public DeterministicPolicy {
  public:
   GreedyPolicy(RewardModelPtr model, std::string name = "greedy");
@@ -23,24 +25,22 @@ class GreedyPolicy final : public DeterministicPolicy {
 };
 
 /// Plays argmax_a (w_a · [1, x]) for externally supplied weight vectors —
-/// the "linear vectors" policy template of §4. Unlike GreedyPolicy it does
-/// not own a learner, so it can represent arbitrary members of a policy
-/// class during enumeration.
+/// the "linear vectors" policy template of §4 — by core::argmax_bias_first.
+/// Unlike GreedyPolicy it does not own a learner, so it can represent
+/// arbitrary members of a policy class during enumeration.
 class LinearPolicy final : public DeterministicPolicy {
  public:
-  /// `weights[a]` has length dim+1 (bias first).
-  LinearPolicy(std::vector<std::vector<double>> weights,
+  /// `weights[a]` has length dim+1 (bias first); the rows are stored end to
+  /// end by core::flatten_rows, which throws on empty or ragged rows.
+  LinearPolicy(const std::vector<std::vector<double>>& weights,
                std::string name = "linear");
 
+  /// Throws std::invalid_argument unless x.size() == dim.
   ActionId choose(const FeatureVector& x) const override;
   std::string name() const override { return name_; }
 
-  /// Per-action weight rows (each dim+1, bias first) — the exact layout
-  /// serve::PolicySnapshot::from_weights flattens for the hot path.
-  const std::vector<std::vector<double>>& weights() const { return weights_; }
-
  private:
-  std::vector<std::vector<double>> weights_;
+  std::vector<double> weights_;  ///< num_actions rows of dim+1, bias first
   std::string name_;
 };
 

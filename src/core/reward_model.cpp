@@ -40,7 +40,7 @@ void RidgeRewardModel::observe(const FeatureVector& x, ActionId a,
     pa.xty[i] += weight * reward * xb[i];
   }
   pa.total_weight += weight;
-  pa.fitted = false;
+  fitted_ = false;
 }
 
 void RidgeRewardModel::merge_observations(const RidgeRewardModel& other) {
@@ -61,33 +61,42 @@ void RidgeRewardModel::merge_observations(const RidgeRewardModel& other) {
       pa.xty[i] += opa.xty[i];
     }
     pa.total_weight += opa.total_weight;
-    pa.fitted = false;
   }
+  fitted_ = false;
 }
 
 void RidgeRewardModel::fit() {
-  for (auto& pa : per_action_) {
-    pa.coef = cholesky_solve(pa.xtx, pa.xty);
-    pa.fitted = true;
+  coef_.clear();
+  for (const auto& pa : per_action_) {
+    const std::vector<double> solved = cholesky_solve(pa.xtx, pa.xty);
+    coef_.insert(coef_.end(), solved.begin(), solved.end());
   }
+  fitted_ = true;
 }
 
 double RidgeRewardModel::predict(const FeatureVector& x, ActionId a) const {
   if (a >= per_action_.size()) {
     throw std::out_of_range("RidgeRewardModel::predict: bad action");
   }
-  const auto& pa = per_action_[a];
-  if (!pa.fitted) {
+  if (!fitted_) {
     throw std::logic_error("RidgeRewardModel::predict before fit()");
   }
-  return dot_bias_first(pa.coef, x.values());
+  return dot_bias_first(
+      std::span<const double>(coef_.data() + a * dim_with_bias_,
+                              dim_with_bias_),
+      x.values());
 }
 
-const std::vector<double>& RidgeRewardModel::weights(ActionId a) const {
-  if (a >= per_action_.size() || !per_action_[a].fitted) {
-    throw std::logic_error("RidgeRewardModel::weights: not fitted");
+std::span<const double> RidgeRewardModel::coefficients() const {
+  if (!fitted_) throw std::logic_error("RidgeRewardModel used before fit()");
+  return coef_;
+}
+
+std::span<const double> RidgeRewardModel::weights(ActionId a) const {
+  if (a >= per_action_.size()) {
+    throw std::out_of_range("RidgeRewardModel: bad action");
   }
-  return per_action_[a].coef;
+  return coefficients().subspan(a * dim_with_bias_, dim_with_bias_);
 }
 
 double RidgeRewardModel::observation_weight(ActionId a) const {

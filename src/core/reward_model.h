@@ -4,6 +4,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,8 +52,14 @@ class RidgeRewardModel final : public RewardModel {
   std::size_t num_actions() const override { return per_action_.size(); }
   std::string name() const override { return "ridge"; }
 
-  /// Fitted coefficients for one action (bias first); for tests/inspection.
-  const std::vector<double>& weights(ActionId a) const;
+  /// Every action's fitted coefficients as num_actions rows of dim+1,
+  /// bias first, laid end to end: the layout core::argmax_bias_first and
+  /// serve::PolicySnapshot read. Throws std::logic_error before fit().
+  std::span<const double> coefficients() const;
+
+  /// Row `a` of coefficients(). Throws std::out_of_range for an action out
+  /// of range and std::logic_error before fit().
+  std::span<const double> weights(ActionId a) const;
 
   /// Number of (weighted) observations seen for an action.
   double observation_weight(ActionId a) const;
@@ -61,14 +68,14 @@ class RidgeRewardModel final : public RewardModel {
   struct PerAction {
     Matrix xtx;                    // X^T W X + lambda I accumulator
     std::vector<double> xty;       // X^T W y accumulator
-    std::vector<double> coef;      // solved weights
     double total_weight = 0;
-    bool fitted = false;
   };
 
   std::size_t dim_with_bias_;
   double lambda_;
   std::vector<PerAction> per_action_;
+  std::vector<double> coef_;  // solved weights, num_actions * dim_with_bias_
+  bool fitted_ = false;       // coef_ solves the current accumulators
 };
 
 /// Online per-action linear model trained by weighted SGD; used by the

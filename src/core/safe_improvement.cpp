@@ -27,26 +27,4 @@ SafetyVerdict safe_improvement(const ExplorationDataset& data,
   return verdict;
 }
 
-std::vector<SafetyVerdict> safe_improvement_sweep(
-    const ExplorationDataset& data, const std::vector<PolicyPtr>& candidates,
-    const OffPolicyEstimator& estimator, SafetyConfig config) {
-  if (data.empty()) {
-    throw std::invalid_argument("safe_improvement_sweep: empty data");
-  }
-  double baseline = 0;
-  for (const auto& pt : data.points()) baseline += pt.reward;
-  baseline /= static_cast<double>(data.size());
-
-  std::vector<SafetyVerdict> verdicts;
-  verdicts.reserve(candidates.size());
-  for (const auto& candidate : candidates) {
-    if (!candidate) {
-      throw std::invalid_argument("safe_improvement_sweep: null candidate");
-    }
-    verdicts.push_back(
-        safe_improvement(data, *candidate, estimator, baseline, config));
-  }
-  return verdicts;
-}
-
 }  // namespace harvest::core

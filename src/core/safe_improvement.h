@@ -8,7 +8,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "core/dataset.h"
 #include "core/estimators/estimator.h"
@@ -44,13 +43,5 @@ SafetyVerdict safe_improvement(const ExplorationDataset& data,
                                const OffPolicyEstimator& estimator,
                                double baseline_value,
                                SafetyConfig config = {});
-
-/// Gates a set of candidates and returns the verdicts in the input order.
-/// The baseline is the logged policy's realized mean reward on `data`
-/// (always available: it is just the average logged reward).
-std::vector<SafetyVerdict> safe_improvement_sweep(
-    const ExplorationDataset& data,
-    const std::vector<PolicyPtr>& candidates,
-    const OffPolicyEstimator& estimator, SafetyConfig config = {});
 
 }  // namespace harvest::core

@@ -29,7 +29,8 @@ EpochGreedyTrainer::EpochGreedyTrainer(std::size_t num_actions,
       config_(config),
       model_(std::make_shared<SgdRewardModel>(num_actions, dim,
                                               config.learning_rate,
-                                              config.l2)) {
+                                              config.l2)),
+      greedy_(model_, "epoch-greedy") {
   if (num_actions == 0) {
     throw std::invalid_argument("EpochGreedyTrainer: no actions");
   }
@@ -48,20 +49,11 @@ ActionId EpochGreedyTrainer::step(const FeatureVector& x, util::Rng& rng) {
     return static_cast<ActionId>(rng.uniform_index(num_actions_));
   }
   ++exploit_steps_;
-  ActionId best = 0;
-  double best_score = model_->predict(x, 0);
-  for (std::size_t a = 1; a < num_actions_; ++a) {
-    const double s = model_->predict(x, static_cast<ActionId>(a));
-    if (s > best_score) {
-      best_score = s;
-      best = static_cast<ActionId>(a);
-    }
-  }
   // Exploitation propensity: (1 - explore) for greedy plus the uniform slice.
   last_propensity_ = (1.0 - config_.explore_fraction) +
                      config_.explore_fraction /
                          static_cast<double>(num_actions_);
-  return best;
+  return greedy_.choose(x);
 }
 
 void EpochGreedyTrainer::learn(const FeatureVector& x, ActionId a,

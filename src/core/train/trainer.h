@@ -75,6 +75,7 @@ class EpochGreedyTrainer {
   std::size_t num_actions_;
   Config config_;
   std::shared_ptr<SgdRewardModel> model_;
+  GreedyPolicy greedy_;  ///< exploitation steps: argmax over model_
   bool last_was_explore_ = false;
   double last_propensity_ = 1.0;
   std::size_t explore_steps_ = 0;

@@ -2,11 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/linalg.h"
 #include "util/json.h"
 
 namespace harvest::design {
@@ -77,23 +77,7 @@ std::span<const double> LoggingPlan::stratum_distribution(
 }
 
 std::size_t LoggingPlan::stratum_of(std::span<const double> context) const {
-  // Mirrors serve::PolicySnapshot::greedy exactly (same accumulation order,
-  // same strict ">" tie-break toward the lowest action id) so a plan scores
-  // contexts into the same strata the serving layer will.
-  const std::size_t stride = dim + 1;
-  const double* w = reference_weights.data();
-  double best = -std::numeric_limits<double>::infinity();
-  std::size_t arg = 0;
-  for (std::size_t a = 0; a < num_actions; ++a) {
-    const double* wa = w + a * stride;
-    double score = wa[0];
-    for (std::size_t i = 0; i < dim; ++i) score += wa[1 + i] * context[i];
-    if (score > best) {
-      best = score;
-      arg = a;
-    }
-  }
-  return arg;
+  return core::argmax_bias_first(reference_weights, num_actions, context);
 }
 
 void LoggingPlan::validate() const {

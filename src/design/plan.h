@@ -8,10 +8,10 @@
 // exploration distribution the logging policy should draw actions from.
 // The stratum of a context is the greedy action of a *reference* linear
 // policy carried inside the plan — a pure function of (weights, context)
-// that the serving hot path can evaluate with zero allocations (it is
-// exactly serve::PolicySnapshot::greedy), and that makes the classic
-// eps-greedy logging policy expressible as a plan: stratum s gets
-// eps/K everywhere plus 1-eps on action s.
+// that the serving hot path evaluates with zero allocations (both sides
+// call core::argmax_bias_first), and that makes the classic eps-greedy
+// logging policy expressible as a plan: stratum s gets eps/K everywhere
+// plus 1-eps on action s.
 //
 // Plans serialize to versioned JSON (kPlanVersion) with %.17g doubles, so
 // a plan round-trips bit-exactly: the planner's determinism suite compares
@@ -59,9 +59,11 @@ struct LoggingPlan {
   /// The plan row for stratum `s`.
   std::span<const double> stratum_distribution(std::size_t s) const;
 
-  /// Greedy action of the reference policy = the context's stratum. Same
-  /// arithmetic and tie-break (lowest action id) as PolicySnapshot::greedy,
-  /// so the planner and the serving layer always agree on the stratum.
+  /// Greedy action of the reference policy = the context's stratum, by
+  /// core::argmax_bias_first (ties to the lowest action id, a NaN score
+  /// never wins) — the kernel PolicySnapshot::greedy calls too, so the
+  /// planner and the serving layer always agree on the stratum. Throws
+  /// std::invalid_argument unless context.size() == dim.
   std::size_t stratum_of(std::span<const double> context) const;
 
   /// Throws std::invalid_argument on inconsistent geometry, a row that does

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/linalg.h"
 #include "par/parallel.h"
 
 namespace harvest::design {
@@ -43,26 +44,6 @@ struct CostStats {
     return *this;
   }
 };
-
-/// Same arithmetic and tie-break as PolicySnapshot::greedy / the plan's
-/// stratum_of: strict ">" keeps ties on the lowest action id.
-std::size_t greedy_stratum(const std::vector<double>& weights,
-                           std::size_t num_actions, std::size_t dim,
-                           std::span<const double> context) {
-  const std::size_t stride = dim + 1;
-  double best = -std::numeric_limits<double>::infinity();
-  std::size_t arg = 0;
-  for (std::size_t a = 0; a < num_actions; ++a) {
-    const double* wa = weights.data() + a * stride;
-    double score = wa[0];
-    for (std::size_t i = 0; i < dim; ++i) score += wa[1 + i] * context[i];
-    if (score > best) {
-      best = score;
-      arg = a;
-    }
-  }
-  return arg;
-}
 
 /// Exact minimizer of sum_a cost[a] / q[a] over {q >= floor, sum q = 1}:
 /// Neyman allocation q proportional to sqrt(cost), water-filled against the
@@ -176,8 +157,8 @@ PlannerReport plan_logging(const core::ExplorationDataset& harvest,
         std::vector<double> rhat(k), pi(k);
         for (std::size_t i = begin; i < end; ++i) {
           const auto& pt = pts[i];
-          const std::size_t s =
-              greedy_stratum(reference_weights, k, dim, pt.context.values());
+          const std::size_t s = core::argmax_bias_first(
+              reference_weights, k, pt.context.values());
           p.counts[s] += 1;
           double best = -std::numeric_limits<double>::infinity();
           for (std::size_t a = 0; a < k; ++a) {
@@ -252,14 +233,8 @@ PlannerReport plan_logging(const core::ExplorationDataset& harvest,
   // the mixing target that enforces the regret budget.
   std::vector<double> greedy_plan(k * k, floor);
   for (std::size_t s = 0; s < k; ++s) {
-    std::size_t best_a = 0;
-    double best_mu = -std::numeric_limits<double>::infinity();
-    for (std::size_t a = 0; a < k; ++a) {
-      if (stats.mu[s * k + a] > best_mu) {
-        best_mu = stats.mu[s * k + a];
-        best_a = a;
-      }
-    }
+    const std::size_t best_a = core::argmax_first(
+        k, [&](std::size_t a) { return stats.mu[s * k + a]; });
     greedy_plan[s * k + best_a] += 1.0 - floor * static_cast<double>(k);
   }
 

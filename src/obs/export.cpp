@@ -33,40 +33,6 @@ std::string json_labels(const Labels& labels) {
   return out;
 }
 
-/// Prometheus exposition-format label-value escaping: backslash, double
-/// quote, and line feed are the three characters the text format requires
-/// escaped inside label values.
-std::string prom_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-std::string prom_labels(const Labels& labels, const std::string& extra = "") {
-  if (labels.empty() && extra.empty()) return "";
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out += ",";
-    out += k + "=\"" + prom_escape(v) + "\"";
-    first = false;
-  }
-  if (!extra.empty()) {
-    if (!first) out += ",";
-    out += extra;
-  }
-  out += "}";
-  return out;
-}
-
 }  // namespace
 
 void write_jsonl(const Registry& registry, std::ostream& out) {
@@ -92,33 +58,6 @@ void write_jsonl(const Registry& registry, std::ostream& out) {
         << ",\"sum\":" << json_number(h.sum()) << ",\"p50\":"
         << json_number(h.p50()) << ",\"p90\":" << json_number(h.p90())
         << ",\"p99\":" << json_number(h.p99()) << "}\n";
-  }
-}
-
-void write_prometheus(const Registry& registry, std::ostream& out) {
-  for (const auto& entry : registry.counters()) {
-    out << "# TYPE " << entry.name << " counter\n"
-        << entry.name << prom_labels(entry.labels) << " "
-        << json_number(entry.metric->value()) << "\n";
-  }
-  for (const auto& entry : registry.gauges()) {
-    out << "# TYPE " << entry.name << " gauge\n"
-        << entry.name << prom_labels(entry.labels) << " "
-        << json_number(entry.metric->value()) << "\n";
-  }
-  for (const auto& entry : registry.histograms()) {
-    const Histogram& h = *entry.metric;
-    out << "# TYPE " << entry.name << " summary\n";
-    out << entry.name << prom_labels(entry.labels, "quantile=\"0.5\"") << " "
-        << json_number(h.p50()) << "\n";
-    out << entry.name << prom_labels(entry.labels, "quantile=\"0.9\"") << " "
-        << json_number(h.p90()) << "\n";
-    out << entry.name << prom_labels(entry.labels, "quantile=\"0.99\"") << " "
-        << json_number(h.p99()) << "\n";
-    out << entry.name << "_sum" << prom_labels(entry.labels) << " "
-        << json_number(h.sum()) << "\n";
-    out << entry.name << "_count" << prom_labels(entry.labels) << " "
-        << h.count() << "\n";
   }
 }
 

@@ -1,7 +1,6 @@
-// Registry exporters: JSONL (one metric series per line, for offline
-// analysis of bench runs) and Prometheus text exposition (what a scrape
-// endpoint would serve). Both are snapshots — safe to call while other
-// threads keep recording.
+// Registry exporter: JSONL, one metric series per line, for offline
+// analysis of bench runs. A snapshot — safe to call while other threads
+// keep recording.
 #pragma once
 
 #include <iosfwd>
@@ -18,11 +17,6 @@ namespace harvest::obs {
 ///    "count":28000,"mean":0.41,"min":0.18,"max":1.9,"sum":11480.0,
 ///    "p50":0.38,"p90":0.61,"p99":0.92}
 void write_jsonl(const Registry& registry, std::ostream& out);
-
-/// Prometheus-style text dump. Counters/gauges are plain samples;
-/// histograms render as summaries: quantile-labeled samples plus
-/// `<name>_sum` and `<name>_count`.
-void write_prometheus(const Registry& registry, std::ostream& out);
 
 /// Writes the JSONL dump to `path`; returns false (and writes nothing) if
 /// the file cannot be opened.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -62,7 +61,9 @@ const PolicySnapshot* Decider::acquire() {
 }
 
 Decision Decider::decide(std::span<const double> context) {
-  assert(context.size() == service_->options().dim);
+  if (context.size() != service_->options().dim) {
+    throw std::invalid_argument("Decider::decide: context size != dim");
+  }
   const PolicySnapshot* snap = acquire();
   const Decision d = decide_on(snap, context);
   release();
@@ -72,7 +73,10 @@ Decision Decider::decide(std::span<const double> context) {
 void Decider::decide_batch(std::span<const double> contexts,
                            std::span<Decision> out) {
   const std::size_t dim = service_->options().dim;
-  assert(contexts.size() == out.size() * dim);
+  if (contexts.size() != out.size() * dim) {
+    throw std::invalid_argument(
+        "Decider::decide_batch: contexts size != out size * dim");
+  }
   if (out.empty()) return;
   // One hazard handshake for the whole batch: the publisher cannot reclaim
   // `snap` until release(), so every decision in the batch answers from the

@@ -131,7 +131,8 @@ class Decider {
   /// draws the epsilon-greedy action, and stages the decision tuple for
   /// logging. If a previous decision is still staged (log_reward never
   /// called), it is first flushed with reward NaN so no decision silently
-  /// vanishes. Requires context.size() == service dim. Zero-allocation.
+  /// vanishes. Zero-allocation. Throws std::invalid_argument, before
+  /// anything is staged, unless context.size() == service dim.
   Decision decide(std::span<const double> context);
 
   /// Completes the staged tuple with the observed reward and pushes it to
@@ -154,7 +155,9 @@ class Decider {
   /// amortizes it), and every decision runs the exact staging/flush logic
   /// of decide() — the logged records and the rng stream are bit-identical
   /// to the equivalent sequence of decide() calls, with the batch's last
-  /// decision left staged for log_reward(). Zero-allocation.
+  /// decision left staged for log_reward(). Zero-allocation. Throws
+  /// std::invalid_argument, before anything is staged, unless
+  /// contexts.size() == out.size() * dim.
   void decide_batch(std::span<const double> contexts, std::span<Decision> out);
 
   /// Hazard-protected access to the published snapshot (stress tests,

@@ -4,9 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 
+#include "core/linalg.h"
 #include "core/reward_model.h"
 
 namespace harvest::serve {
@@ -94,23 +94,15 @@ PolicySnapshot::PolicySnapshot(std::uint64_t id, std::size_t num_actions,
   g_alive.fetch_add(1, std::memory_order_relaxed);
 }
 
+// Delegates the geometry checks and the liveness accounting; once the
+// delegated constructor returns, a throw below runs the destructor, so the
+// alive count stays balanced.
 PolicySnapshot::PolicySnapshot(std::uint64_t id, std::size_t num_actions,
                                std::size_t dim, std::vector<double> weights,
                                std::vector<double> plan)
-    : id_(id),
-      num_actions_(static_cast<std::uint32_t>(num_actions)),
-      dim_(static_cast<std::uint32_t>(dim)),
-      epsilon_(0.0),
-      kind_(SnapshotKind::kPlanned),
-      weights_(std::move(weights)),
-      plan_(std::move(plan)) {
-  if (num_actions == 0) {
-    throw std::invalid_argument("PolicySnapshot: num_actions must be > 0");
-  }
-  if (weights_.size() != num_actions * (dim + 1)) {
-    throw std::invalid_argument(
-        "PolicySnapshot: weights must be num_actions * (dim+1) values");
-  }
+    : PolicySnapshot(id, num_actions, dim, std::move(weights), 0.0) {
+  kind_ = SnapshotKind::kPlanned;
+  plan_ = std::move(plan);
   if (plan_.size() != num_actions * num_actions) {
     throw std::invalid_argument(
         "PolicySnapshot: plan must be num_actions^2 values");
@@ -131,8 +123,6 @@ PolicySnapshot::PolicySnapshot(std::uint64_t id, std::size_t num_actions,
     }
   }
   checksum_ = checksum();
-  canary_ = kCanaryLive;
-  g_alive.fetch_add(1, std::memory_order_relaxed);
 }
 
 PolicySnapshot::~PolicySnapshot() {
@@ -167,27 +157,9 @@ std::uint64_t PolicySnapshot::alive_count() {
   return g_alive.load(std::memory_order_relaxed);
 }
 
-// Cache-line aligned so the scoring loop's placement, and with it decide()'s
-// latency, does not depend on how much code the linker puts before it: a
-// 16-byte shift that makes the outer loop's compare-and-branch straddle a
-// 32-byte boundary slows decide() ~1.5x on Intel cores that keep such
-// branches out of the µop cache (the serve-live workload in roundbench/).
-__attribute__((aligned(64))) core::ActionId PolicySnapshot::greedy(
-    std::span<const double> context) const {
-  const std::size_t stride = dim_ + 1;
-  const double* w = weights_.data();
-  double best = -std::numeric_limits<double>::infinity();
-  core::ActionId arg = 0;
-  for (std::uint32_t a = 0; a < num_actions_; ++a) {
-    const double* wa = w + a * stride;
-    double score = wa[0];
-    for (std::uint32_t i = 0; i < dim_; ++i) score += wa[1 + i] * context[i];
-    if (score > best) {
-      best = score;
-      arg = a;
-    }
-  }
-  return arg;
+core::ActionId PolicySnapshot::greedy(std::span<const double> context) const {
+  return static_cast<core::ActionId>(
+      core::argmax_bias_first(weights_, num_actions_, context));
 }
 
 Decision PolicySnapshot::decide(std::span<const double> context,
@@ -222,6 +194,9 @@ Decision PolicySnapshot::decide(std::span<const double> context,
 
 double PolicySnapshot::probability(std::span<const double> context,
                                    core::ActionId a) const {
+  if (a >= num_actions_) {
+    throw std::out_of_range("PolicySnapshot::probability");
+  }
   const core::ActionId g = greedy(context);
   if (kind_ == SnapshotKind::kPlanned) {
     return plan_[static_cast<std::size_t>(g) * num_actions_ + a];
@@ -309,41 +284,22 @@ std::unique_ptr<const PolicySnapshot> PolicySnapshot::deserialize(
 std::unique_ptr<const PolicySnapshot> PolicySnapshot::from_weights(
     std::uint64_t id, const std::vector<std::vector<double>>& weights,
     double epsilon) {
-  if (weights.empty()) {
-    throw std::invalid_argument("PolicySnapshot: no weight rows");
-  }
-  const std::size_t stride = weights.front().size();
-  if (stride == 0) {
-    throw std::invalid_argument("PolicySnapshot: empty weight row");
-  }
-  std::vector<double> flat;
-  flat.reserve(weights.size() * stride);
-  for (const auto& row : weights) {
-    if (row.size() != stride) {
-      throw std::invalid_argument("PolicySnapshot: ragged weight rows");
-    }
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
-  return std::make_unique<const PolicySnapshot>(id, weights.size(), stride - 1,
-                                                std::move(flat), epsilon);
+  std::vector<double> flat = core::flatten_rows(weights);
+  return std::make_unique<const PolicySnapshot>(
+      id, weights.size(), weights.front().size() - 1, std::move(flat), epsilon);
 }
 
 std::unique_ptr<const PolicySnapshot> PolicySnapshot::from_model(
     std::uint64_t id, const core::RidgeRewardModel& model, std::size_t dim,
     double epsilon) {
-  std::vector<double> flat;
-  flat.reserve(model.num_actions() * (dim + 1));
-  for (std::size_t a = 0; a < model.num_actions(); ++a) {
-    const std::vector<double>& row =
-        model.weights(static_cast<core::ActionId>(a));
-    if (row.size() != dim + 1) {
-      throw std::invalid_argument(
-          "PolicySnapshot: model dim does not match snapshot dim");
-    }
-    flat.insert(flat.end(), row.begin(), row.end());
+  const std::span<const double> coefficients = model.coefficients();
+  if (coefficients.size() != model.num_actions() * (dim + 1)) {
+    throw std::invalid_argument(
+        "PolicySnapshot: model dim does not match snapshot dim");
   }
-  return std::make_unique<const PolicySnapshot>(id, model.num_actions(), dim,
-                                                std::move(flat), epsilon);
+  return std::make_unique<const PolicySnapshot>(
+      id, model.num_actions(), dim,
+      std::vector<double>(coefficients.begin(), coefficients.end()), epsilon);
 }
 
 std::unique_ptr<const PolicySnapshot> PolicySnapshot::uniform(

@@ -30,7 +30,7 @@
 #include "util/rng.h"
 
 namespace harvest::core {
-class RidgeRewardModel;  // reward_model.h; snapshots flatten its weights
+class RidgeRewardModel;  // reward_model.h; snapshots copy its coefficients
 }
 
 namespace harvest::serve {
@@ -83,8 +83,9 @@ class PolicySnapshot {
   /// s), so plan()[s * num_actions + a] is the propensity of action a there.
   std::span<const double> plan() const { return plan_; }
 
-  /// argmax_a (w_a · [1, x]), ties toward the lower action id. Requires
-  /// context.size() == dim(). Zero-allocation.
+  /// argmax_a (w_a · [1, x]) by core::argmax_bias_first: ties go to the
+  /// lower action id and a NaN score never wins. Throws
+  /// std::invalid_argument unless context.size() == dim(). Zero-allocation.
   core::ActionId greedy(std::span<const double> context) const;
 
   /// Draw from the snapshot's conditional distribution. kEpsGreedy: with
@@ -94,7 +95,8 @@ class PolicySnapshot {
   /// draw). The returned propensity is exactly pi(a|x). Zero-allocation.
   Decision decide(std::span<const double> context, util::Rng& rng) const;
 
-  /// pi(a|x) for any action (cold path: tests, chi-squared checks).
+  /// pi(a|x) for any action (cold path: tests, chi-squared checks). Throws
+  /// std::out_of_range if a >= num_actions().
   double probability(std::span<const double> context, core::ActionId a) const;
 
   /// Exact byte serialization (little-endian id/geometry/epsilon + weight
@@ -126,13 +128,15 @@ class PolicySnapshot {
   static std::uint64_t alive_count();
 
   // ---- builders ---------------------------------------------------------
-  /// From explicit per-action weight rows (each dim+1, bias first), e.g.
-  /// core::LinearPolicy::weights().
+  /// From explicit per-action weight rows (each dim+1, bias first), laid
+  /// end to end by core::flatten_rows, as core::LinearPolicy lays its own.
   static std::unique_ptr<const PolicySnapshot> from_weights(
       std::uint64_t id, const std::vector<std::vector<double>>& weights,
       double epsilon);
-  /// Flattens a fitted ridge model's per-action coefficients — how the
-  /// SnapshotTrainer turns a retrain into a deployable snapshot.
+  /// Copies a fitted ridge model's coefficient block, which is already in
+  /// this layout (core::RidgeRewardModel::coefficients()) — how the
+  /// SnapshotTrainer turns a retrain into a deployable snapshot. Throws
+  /// std::invalid_argument if the model's dim is not `dim`.
   static std::unique_ptr<const PolicySnapshot> from_model(
       std::uint64_t id, const core::RidgeRewardModel& model, std::size_t dim,
       double epsilon);

@@ -57,13 +57,11 @@ std::unique_ptr<const PolicySnapshot> SnapshotTrainer::train_on(
   if (data.empty()) {
     throw std::invalid_argument("SnapshotTrainer: empty dataset");
   }
-  auto [policy, model] = core::train_cb_policy_with_model(data, options_.train);
-  const auto* ridge = dynamic_cast<const core::RidgeRewardModel*>(model.get());
-  if (ridge == nullptr) {
-    throw std::runtime_error("SnapshotTrainer: expected a ridge reward model");
-  }
-  const std::size_t dim = service_.options().dim;
-  return PolicySnapshot::from_model(id, *ridge, dim, options_.epsilon);
+  // The ridge fit train_cb_policy_with_model makes, without its policy.
+  const core::RidgeRewardModel ridge = core::fit_ridge(
+      data, options_.train.ridge_lambda, options_.train.importance_weighted);
+  return PolicySnapshot::from_model(id, ridge, service_.options().dim,
+                                    options_.epsilon);
 }
 
 std::uint64_t SnapshotTrainer::train_and_publish() {

@@ -77,7 +77,7 @@ class SnapshotTrainer {
   /// configured, the published snapshot is persisted as well.
   std::uint64_t train_and_publish();
 
-  /// The retrain step alone: importance-weighted ridge on `data`, flattened
+  /// The retrain step alone: importance-weighted ridge on `data`, copied
   /// into a snapshot with the trainer's epsilon. Exposed so drivers can
   /// retrain from an HLOG corpus they scavenged themselves (the offline
   /// path) and so the determinism suite can diff snapshot bytes. Throws

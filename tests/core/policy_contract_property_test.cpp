@@ -5,14 +5,19 @@
 //  - distribution_into rejects an `out` of the wrong size;
 //  - dot_bias_first(w, x), the scoring kernel of the linear policies and
 //    reward models, is bit-identical to dot(x.with_bias(), w), including on
-//    −0.0, ±inf and NaN inputs.
+//    −0.0, ±inf and NaN inputs;
+//  - argmax_bias_first picks the lowest id among the largest non-NaN
+//    dot_bias_first scores (0 when all are NaN) on the same inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +27,7 @@
 #include "core/policies/basic.h"
 #include "core/policies/greedy.h"
 #include "core/reward_model.h"
+#include "testing/fixtures.h"
 
 namespace harvest::core {
 namespace {
@@ -231,6 +237,62 @@ TEST(DotBiasFirst, RejectsMismatchedSizes) {
   EXPECT_THROW(dot_bias_first({}, {}), std::invalid_argument);
   EXPECT_EQ(dot_bias_first(std::vector<double>{0.5, 2.0, -1.0}, x),
             0.5 + 2.0 * 1.0 + -1.0 * 2.0);
+}
+
+TEST(ArgmaxBiasFirst, LowestIdAmongTheLargestNonNanScores) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {0.0, -0.0, inf, -inf, nan, 1.0, -1.0, 0.5};
+  util::Rng rng(8);
+  auto draw = [&] {
+    return rng.bernoulli(0.3)
+               ? specials[rng.uniform_index(std::size(specials))]
+               : rng.uniform(-4.0, 4.0);
+  };
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::size_t k = 1 + rng.uniform_index(8);
+    const std::size_t stride = 1 + rng.uniform_index(6);
+    std::vector<double> w(k * stride), x(stride - 1);
+    for (double& v : w) v = draw();
+    for (double& v : x) v = draw();
+    if (k > 1 && rng.bernoulli(0.3)) {  // an exact tie between two rows
+      const std::size_t from = rng.uniform_index(k);
+      const std::size_t to = rng.uniform_index(k);
+      std::copy_n(w.begin() + from * stride, stride, w.begin() + to * stride);
+    }
+    std::size_t expected = 0;
+    double best = 0;
+    bool seen = false;
+    for (std::size_t a = 0; a < k; ++a) {
+      const double score = dot_bias_first(
+          std::span<const double>(w).subspan(a * stride, stride), x);
+      if (!std::isnan(score) && (!seen || score > best)) {
+        expected = a;
+        best = score;
+        seen = true;
+      }
+    }
+    ASSERT_EQ(argmax_bias_first(w, k, x), expected) << "trial " << trial;
+  }
+  for (const testing::ScoringCase& c : testing::scoring_special_cases()) {
+    EXPECT_EQ(argmax_bias_first(c.weights, 3, std::span<const double>(&c.x, 1)),
+              c.expected)
+        << c.name;
+  }
+}
+
+TEST(ArgmaxBiasFirst, RejectsMismatchedGeometry) {
+  const std::vector<double> x{1.0, 2.0};
+  EXPECT_THROW(argmax_bias_first(std::vector<double>(5), 2, x),
+               std::invalid_argument);
+  EXPECT_THROW(argmax_bias_first(std::vector<double>(7), 2, x),
+               std::invalid_argument);
+  EXPECT_THROW(argmax_bias_first({}, 0, x), std::invalid_argument);
+  EXPECT_THROW(argmax_bias_first({}, 0, {}), std::invalid_argument);
+  // 0.5 + 2·1 − 1·2 = 0.5 against 0 + 0·1 + 1·2 = 2.
+  EXPECT_EQ(argmax_bias_first(
+                std::vector<double>{0.5, 2.0, -1.0, 0.0, 0.0, 1.0}, 2, x),
+            1u);
 }
 
 }  // namespace

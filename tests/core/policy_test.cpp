@@ -5,6 +5,12 @@
 
 #include <memory>
 #include <numeric>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "core/linalg.h"
+#include "testing/fixtures.h"
 
 namespace harvest::core {
 namespace {
@@ -125,6 +131,31 @@ TEST(LinearPolicyTest, ArgmaxOfLinearScores) {
   const LinearPolicy policy({{0.0, 1.0}, {1.0, -1.0}});
   EXPECT_EQ(policy.choose(FeatureVector{0.9}), 0u);
   EXPECT_EQ(policy.choose(FeatureVector{0.1}), 1u);
+}
+
+/// r̂(x, a) = w_a · [1, x] over three fixed bias-first rows.
+class LinearScores final : public RewardModel {
+ public:
+  explicit LinearScores(std::vector<double> weights)
+      : weights_(std::move(weights)) {}
+  double predict(const FeatureVector& x, ActionId a) const override {
+    const std::size_t stride = x.size() + 1;
+    return dot_bias_first(
+        std::span<const double>(weights_).subspan(a * stride, stride),
+        x.values());
+  }
+  std::size_t num_actions() const override { return 3; }
+  std::string name() const override { return "linear-scores"; }
+
+ private:
+  std::vector<double> weights_;
+};
+
+TEST(GreedyPolicyTest, TiesGoLowAndNanNeverWins) {
+  for (const testing::ScoringCase& c : testing::scoring_special_cases()) {
+    const GreedyPolicy policy(std::make_shared<LinearScores>(c.weights));
+    EXPECT_EQ(policy.choose(FeatureVector{c.x}), c.expected) << c.name;
+  }
 }
 
 TEST(LinearPolicyTest, Validation) {

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "core/estimators/ips.h"
 #include "core/policies/basic.h"
 
@@ -82,20 +80,6 @@ TEST(SafeImprovementTest, RequiredImprovementRaisesTheBar) {
       safe_improvement(data, good, ips, 0.55, demanding).deployable);
 }
 
-TEST(SafeImprovementTest, SweepUsesLoggedBaselineAndOrders) {
-  util::Rng rng(6);
-  const ExplorationDataset data = make_data(5000, rng);
-  const IpsEstimator ips;
-  const std::vector<PolicyPtr> candidates{
-      std::make_shared<ConstantPolicy>(2, 0),
-      std::make_shared<ConstantPolicy>(2, 1)};
-  const auto verdicts = safe_improvement_sweep(data, candidates, ips);
-  ASSERT_EQ(verdicts.size(), 2u);
-  EXPECT_FALSE(verdicts[0].deployable);
-  EXPECT_TRUE(verdicts[1].deployable);
-  EXPECT_NEAR(verdicts[0].baseline_value, 0.55, 0.02);
-}
-
 TEST(SafeImprovementTest, Validation) {
   util::Rng rng(7);
   const ExplorationDataset data = make_data(100, rng);
@@ -108,9 +92,6 @@ TEST(SafeImprovementTest, Validation) {
   bad = SafetyConfig{};
   bad.required_improvement = -1;
   EXPECT_THROW(safe_improvement(data, policy, ips, 0.5, bad),
-               std::invalid_argument);
-  const ExplorationDataset empty(2, {0.0, 1.0});
-  EXPECT_THROW(safe_improvement_sweep(empty, {}, ips),
                std::invalid_argument);
 }
 

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -66,7 +67,9 @@ struct Inputs {
     auto greedy = std::make_shared<const GreedyPolicy>(ridge);
     std::vector<std::vector<double>> rows;
     for (std::size_t a = 0; a < kActions; ++a) {
-      rows.push_back(ridge->weights(static_cast<ActionId>(a)));
+      const std::span<const double> row =
+          ridge->weights(static_cast<ActionId>(a));
+      rows.emplace_back(row.begin(), row.end());
     }
     candidates = {greedy,
                   std::make_shared<const EpsilonGreedyPolicy>(greedy, 0.1),
@@ -138,11 +141,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_F(ScoringAllocTest, PlanLoggingSameAllocationCountAtEitherSize) {
   const Inputs& in = inputs();
-  std::vector<double> reference;
-  for (std::size_t a = 0; a < kActions; ++a) {
-    const auto& row = in.ridge->weights(static_cast<ActionId>(a));
-    reference.insert(reference.end(), row.begin(), row.end());
-  }
+  const std::span<const double> coefficients = in.ridge->coefficients();
+  const std::vector<double> reference(coefficients.begin(),
+                                      coefficients.end());
   auto plan = [&](const ExplorationDataset& data) {
     std::vector<double> weights = reference;  // copied outside the gate
     design::PlannerReport report;

@@ -199,9 +199,10 @@ TEST(LoggingPlanTest, ValidateRejectsBrokenPlans) {
 }
 
 TEST(LoggingPlanTest, StratumOfAgreesWithServeGreedy) {
-  // The plan's stratum function IS the serving snapshot's greedy: same
-  // arithmetic, same lowest-id tie-break. Disagreement would make the
-  // executor log propensities from the wrong plan row.
+  // The plan's stratum function IS the serving snapshot's greedy: both call
+  // core::argmax_bias_first. Disagreement would make the executor log
+  // propensities from the wrong plan row. The special cases add NaN, signed
+  // zero, infinite and exactly tied scores.
   const LoggingPlan p = plan(make_inputs(400, 37)).plan;
   const serve::PolicySnapshot snapshot(1, kActions, kDim,
                                        std::vector<double>(p.reference_weights),
@@ -212,6 +213,16 @@ TEST(LoggingPlanTest, StratumOfAgreesWithServeGreedy) {
     const double x = (i == 0) ? 0.5 : rng.uniform(-0.5, 1.5);
     const std::span<const double> ctx(&x, 1);
     EXPECT_EQ(p.stratum_of(ctx), snapshot.greedy(ctx)) << "x=" << x;
+  }
+  for (const harvest::testing::ScoringCase& c :
+       harvest::testing::scoring_special_cases()) {
+    LoggingPlan special = p;
+    special.reference_weights = c.weights;
+    const serve::PolicySnapshot special_snapshot(1, kActions, kDim, c.weights,
+                                                 /*epsilon=*/0.0);
+    const std::span<const double> ctx(&c.x, 1);
+    EXPECT_EQ(special.stratum_of(ctx), c.expected) << c.name;
+    EXPECT_EQ(special_snapshot.greedy(ctx), c.expected) << c.name;
   }
 }
 

@@ -157,21 +157,6 @@ TEST(ExportTest, EmptyHistogramExportsNullNotNan) {
   EXPECT_NE(out.str().find("null"), std::string::npos);
 }
 
-TEST(ExportTest, PrometheusTextDump) {
-  Registry registry;
-  registry.counter("requests_total", {{"server", "1"}}).add(7);
-  registry.histogram("latency").observe(2.0);
-
-  std::ostringstream out;
-  write_prometheus(registry, out);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("# TYPE requests_total counter"), std::string::npos);
-  EXPECT_NE(text.find("requests_total{server=\"1\"} 7"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE latency summary"), std::string::npos);
-  EXPECT_NE(text.find("latency{quantile=\"0.5\"} 2"), std::string::npos);
-  EXPECT_NE(text.find("latency_count 1"), std::string::npos);
-}
-
 TEST(ExportTest, JsonEscape) {
   EXPECT_EQ(util::json::escape("plain"), "plain");
   EXPECT_EQ(util::json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");

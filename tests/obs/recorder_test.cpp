@@ -1,14 +1,12 @@
 // Unit tests for the flight recorder: event round-trips, exact drop
-// accounting, bounded-trace eviction, registry aggregation, prometheus
-// label escaping, the registry's series-cardinality guard, and a golden
-// chrome-trace validity check.
+// accounting, bounded-trace eviction, registry aggregation, the registry's
+// series-cardinality guard, and a golden chrome-trace validity check.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "util/json.h"
@@ -191,19 +189,6 @@ TEST(RecorderTest, ChromeTraceGolden) {
 }
 
 // --- satellite regressions ----------------------------------------------
-
-TEST(ExportTest, PrometheusEscapesHostileLabelValues) {
-  Registry registry;
-  registry.counter("hostile_total", {{"path", "C:\\logs\"evil\"\nx"}}).add(1);
-  std::ostringstream out;
-  write_prometheus(registry, out);
-  const std::string text = out.str();
-  EXPECT_NE(
-      text.find("hostile_total{path=\"C:\\\\logs\\\"evil\\\"\\nx\"} 1"),
-      std::string::npos);
-  // The raw newline must not reach the exposition output.
-  EXPECT_EQ(text.find("evil\"\nx"), std::string::npos);
-}
 
 TEST(RegistryTest, CardinalityGuardCollapsesIntoOverflowSeries) {
   Registry registry;

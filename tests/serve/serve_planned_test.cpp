@@ -13,6 +13,7 @@
 #include <cstring>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,17 @@ TEST(PlannedSnapshotTest, DecideDrawsFromStratumRowWithExactPropensity) {
   }
 }
 
+TEST(PlannedSnapshotTest, ProbabilityRejectsActionsOutOfRangeForBothKinds) {
+  const std::vector<double> x{0.3, 0.6};
+  const PolicySnapshot eps_greedy(1, kActions, kDim, test_weights(), 0.3);
+  const PolicySnapshot planned(2, kActions, kDim, test_weights(), test_plan());
+  for (const PolicySnapshot* snapshot : {&eps_greedy, &planned}) {
+    EXPECT_NO_THROW(snapshot->probability(x, kActions - 1));
+    EXPECT_THROW(snapshot->probability(x, kActions), std::out_of_range);
+    EXPECT_THROW(snapshot->probability(x, 1000), std::out_of_range);
+  }
+}
+
 TEST(PlannedSnapshotTest, SerializeRoundTripsUnderOwnMagic) {
   const PolicySnapshot snap(9, kActions, kDim, test_weights(), test_plan());
   const std::string bytes = snap.serialize();
@@ -126,6 +138,7 @@ TEST(PlannedSnapshotTest, DeserializeRejectsMalformedPlannedBytes) {
 }
 
 TEST(PlannedSnapshotTest, ConstructorValidatesPlanRows) {
+  const std::uint64_t alive = PolicySnapshot::alive_count();
   // Row not summing to 1.
   std::vector<double> bad = test_plan();
   bad[0] += 0.2;
@@ -142,6 +155,8 @@ TEST(PlannedSnapshotTest, ConstructorValidatesPlanRows) {
   bad.pop_back();
   EXPECT_THROW(PolicySnapshot(1, kActions, kDim, test_weights(), bad),
                std::invalid_argument);
+  // A rejected plan leaves no snapshot counted as alive.
+  EXPECT_EQ(PolicySnapshot::alive_count(), alive);
 }
 
 // ---- decide_batch ---------------------------------------------------------

@@ -16,6 +16,7 @@
 #include "serve/service.h"
 #include "serve/snapshot.h"
 #include "serve/trainer.h"
+#include "testing/fixtures.h"
 #include "util/rng.h"
 
 namespace harvest::serve {
@@ -41,6 +42,19 @@ TEST(PolicySnapshotTest, GreedyMatchesLinearPolicy) {
     std::vector<double> x(6);
     for (auto& v : x) v = rng.uniform(-2, 2);
     EXPECT_EQ(snap->greedy(x), policy.choose(core::FeatureVector(x)));
+  }
+  for (const testing::ScoringCase& c : testing::scoring_special_cases()) {
+    std::vector<std::vector<double>> rows;
+    for (std::size_t a = 0; a < 3; ++a) {
+      rows.emplace_back(c.weights.begin() + 2 * a,
+                        c.weights.begin() + 2 * a + 2);
+    }
+    const auto special = PolicySnapshot::from_weights(1, rows, 0.0);
+    const std::vector<double> x{c.x};
+    EXPECT_EQ(special->greedy(x), c.expected) << c.name;
+    EXPECT_EQ(core::LinearPolicy(rows).choose(core::FeatureVector(x)),
+              c.expected)
+        << c.name;
   }
 }
 
@@ -124,6 +138,31 @@ TEST(DecisionServiceTest, ConstructorValidatesGeometry) {
   DecisionService service(small_service(), PolicySnapshot::uniform(1, 3, 2));
   EXPECT_THROW(service.publish(PolicySnapshot::uniform(2, 3, 5)),
                std::invalid_argument);
+}
+
+TEST(DecisionServiceTest, WrongSizeContextThrowsBeforeStaging) {
+  // Checked in every build type: a longer context would overflow the staged
+  // record's kMaxContextDim buffer, a shorter one would be read past its end.
+  DecisionService service(small_service(), PolicySnapshot::uniform(1, 3, 2));
+  Decider& d = service.add_decider();
+  const std::vector<double> good{0.1, 0.2};
+  const std::vector<double> shorter{0.1};
+  const std::vector<double> longer(kMaxContextDim + 1, 0.1);
+  d.decide(good);  // staged, waiting for its reward
+  EXPECT_THROW(d.decide(shorter), std::invalid_argument);
+  EXPECT_THROW(d.decide(longer), std::invalid_argument);
+  std::vector<Decision> out(2);
+  EXPECT_THROW(d.decide_batch(std::vector<double>(3, 0.1), out),
+               std::invalid_argument);
+  EXPECT_THROW(d.decide_batch(longer, out), std::invalid_argument);
+  EXPECT_EQ(d.decided(), 1u);
+  d.log_reward(0.5);  // still labels the first decision
+  EXPECT_EQ(d.orphaned(), 0u);
+  std::vector<DecisionRecord> records;
+  service.drain([&records](const DecisionRecord& r) { records.push_back(r); });
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].reward, 0.5);
+  EXPECT_EQ(records[0].dim, 2u);
 }
 
 TEST(DecisionServiceTest, RingAccountingIsExact) {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -126,6 +127,43 @@ inline lb::RouterPtr make_router(const std::string& kind) {
             return x[0] <= x[1] + 5 ? 0u : 1u;
           },
           "offset-least-loaded"));
+}
+
+/// One input where argmax_a w_a·[1, x] meets NaN, signed zeros, infinities
+/// or exact ties: three actions over a one-dimensional context, with the
+/// action the scoring rule picks (ties go to the lowest id, a NaN score
+/// never wins, and all-NaN picks 0).
+struct ScoringCase {
+  const char* name;
+  std::vector<double> weights;  ///< 3 rows of {bias, slope}
+  double x;
+  core::ActionId expected;
+};
+
+inline std::vector<ScoringCase> scoring_special_cases() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  return {
+      // Action 0 scores NaN, the others are finite.
+      {"nan-bias-on-action-0", {nan, 0, 0, 1, 0, 2}, 1.0, 2},
+      {"inf-times-zero-on-action-0", {0, inf, 1, 0, 0, 0}, 0.0, 1},
+      // Other NaN placements.
+      {"nan-in-the-middle", {0, 1, nan, 0, 0, 0.5}, 1.0, 0},
+      {"nan-before-minus-inf", {nan, 0, -inf, 0, -inf, 0}, 1.0, 1},
+      {"all-nan", {0, 1, 0, 2, 0, 3}, nan, 0},
+      // Signed zeros tie with each other.
+      {"minus-zero-ties-plus-zero", {-0.0, 0, 0.0, 0, -1, 0}, -0.0, 0},
+      {"zeros-beat-negative", {-1, 0, -0.0, 0, 0.0, 1}, -0.0, 1},
+      // Infinite weights and contexts.
+      {"plus-inf-bias", {0, 1, inf, 0, 0, 2}, 3.0, 1},
+      {"minus-inf-context", {0, 1, 0.5, 0, 1, -1}, -inf, 2},
+      {"plus-inf-context", {0, 1, 0.5, 0, 1, -1}, inf, 0},
+      {"all-minus-inf", {-inf, 0, -inf, 0, -inf, 0}, 1.0, 0},
+      {"minus-inf-then-finite", {-inf, 0, -5, 0, -7, 0}, 1.0, 1},
+      // Exact ties.
+      {"two-way-tie", {0, 1, 0.5, 0, 0.5, 0}, 0.25, 1},
+      {"three-way-tie", {0, 1, 0.5, 0, 1, -1}, 0.5, 0},
+  };
 }
 
 }  // namespace harvest::testing

@@ -292,13 +292,15 @@ echo "ok: planned logging never worse than eps-greedy; plan JSON" \
 
 if [[ -z "$SANITIZE" ]]; then
   echo "==> serve: throughput + tail-latency + zero-allocation gate"
-  # Conservative container-safe thresholds; the committed JSON tracks the
-  # real numbers. The gate itself exits nonzero on < --min-mops decisions
-  # per second per core, p99 above --max-p99-us, or ANY decide-path
-  # allocation (counted by the harvest_allocgate allocator override).
+  # Container-safe thresholds; the committed JSON tracks the real numbers.
+  # The gate itself exits nonzero on < --min-mops decisions per second per
+  # core, p99 above --max-p99-us, or ANY decide-path allocation (counted by
+  # the harvest_allocgate allocator override). The floor of 4 is a third of
+  # the committed ~12 Mdec/s/core: a host 1.7x slower still clears it, a
+  # decide() regression of 3x or more does not.
   "$BUILD_DIR/bench/micro_decision_latency" --serve-throughput \
     --serve-threads 2 --serve-seconds 2 --swap-ms 5 \
-    --min-mops 1 --max-p99-us 500 --json-out BENCH_serve.json
+    --min-mops 4 --max-p99-us 500 --json-out BENCH_serve.json
   echo "ok: serve gate passed; BENCH_serve.json refreshed"
 fi
 

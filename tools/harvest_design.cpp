@@ -67,15 +67,6 @@ std::shared_ptr<core::RidgeRewardModel> fit_model(
   return model;
 }
 
-std::vector<double> flatten_weights(const core::RidgeRewardModel& model) {
-  std::vector<double> flat;
-  for (std::size_t a = 0; a < model.num_actions(); ++a) {
-    const auto& row = model.weights(static_cast<core::ActionId>(a));
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
-  return flat;
-}
-
 /// The evaluation suite the plan must protect: the trained greedy policy
 /// (what we would deploy next) plus every "always play a" probe (the
 /// classic A/B questions). Constant policies are what stress a logging
@@ -234,9 +225,11 @@ int main(int argc, char** argv) {
     std::printf("harvested %zu tuples from %s\n", data.size(),
                 harvest_dir.c_str());
     const auto model = fit_model(data, dim);
-    const design::PlannerReport report =
-        design::plan_logging(data, make_candidates(model), *model,
-                             flatten_weights(*model), dim, planner_config);
+    const std::span<const double> reference = model->coefficients();
+    const design::PlannerReport report = design::plan_logging(
+        data, make_candidates(model), *model,
+        std::vector<double>(reference.begin(), reference.end()), dim,
+        planner_config);
     print_report(report);
     if (!out_path.empty() && !write_file(out_path, report.plan.to_json())) {
       return 1;
@@ -272,9 +265,11 @@ int main(int argc, char** argv) {
   // Phase 2: fit, choose candidates, plan.
   const auto model = fit_model(harvest0, dim);
   const std::vector<core::PolicyPtr> candidates = make_candidates(model);
-  std::vector<double> reference = flatten_weights(*model);
+  const std::span<const double> reference = model->coefficients();
   const design::PlannerReport report = design::plan_logging(
-      harvest0, candidates, *model, reference, dim, planner_config);
+      harvest0, candidates, *model,
+      std::vector<double>(reference.begin(), reference.end()), dim,
+      planner_config);
   print_report(report);
   const std::string plan_path =
       out_path.empty() ? workdir + "/plan.json" : out_path;
