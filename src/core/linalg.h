@@ -25,6 +25,10 @@ class Matrix {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
+  /// The entries in row-major order, for loops that index them directly.
+  std::span<double> values() { return data_; }
+  std::span<const double> values() const { return data_; }
+
   /// this += scale * (col_vec * col_vec^T); used to accumulate X^T W X.
   void add_outer(std::span<const double> v, double scale);
 

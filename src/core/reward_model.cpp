@@ -1,5 +1,6 @@
 #include "core/reward_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -18,14 +19,25 @@ RidgeRewardModel::RidgeRewardModel(std::size_t num_actions, std::size_t dim,
   }
   for (auto& pa : per_action_) {
     pa.xtx = Matrix(dim_with_bias_, dim_with_bias_);
-    for (std::size_t i = 0; i < dim_with_bias_; ++i) {
-      pa.xtx.at(i, i) = lambda_;
-    }
     pa.xty.assign(dim_with_bias_, 0.0);
   }
+  clear_observations();
 }
 
-void RidgeRewardModel::observe(const FeatureVector& x, ActionId a,
+void RidgeRewardModel::clear_observations() {
+  for (auto& pa : per_action_) {
+    const std::span<double> m = pa.xtx.values();
+    std::fill(m.begin(), m.end(), 0.0);
+    for (std::size_t i = 0; i < dim_with_bias_; ++i) {
+      m[i * dim_with_bias_ + i] = lambda_;
+    }
+    std::fill(pa.xty.begin(), pa.xty.end(), 0.0);
+    pa.total_weight = 0;
+  }
+  fitted_ = false;
+}
+
+void RidgeRewardModel::observe(std::span<const double> x, ActionId a,
                                double reward, double weight) {
   if (a >= per_action_.size()) {
     throw std::out_of_range("RidgeRewardModel::observe: bad action");
@@ -33,12 +45,38 @@ void RidgeRewardModel::observe(const FeatureVector& x, ActionId a,
   if (x.size() + 1 != dim_with_bias_) {
     throw std::invalid_argument("RidgeRewardModel::observe: bad dimension");
   }
-  const FeatureVector xb = x.with_bias();
+  // Row i of X^T W X gains (v_i w) v_j for j <= i, where v = [1, x]. The
+  // products with the bias 1 are exact and left out, so every entry the
+  // Cholesky solve reads gets the value a full outer product of [1, x]
+  // gives it, bit for bit. Rows go in pairs that share each load of x_j.
   auto& pa = per_action_[a];
-  pa.xtx.add_outer(xb.values(), weight);
-  for (std::size_t i = 0; i < dim_with_bias_; ++i) {
-    pa.xty[i] += weight * reward * xb[i];
+  const std::size_t n = dim_with_bias_;
+  double* const m = pa.xtx.values().data();
+  m[0] += weight;
+  std::size_t i = 1;
+  for (; i + 1 < n; i += 2) {
+    const double vi = x[i - 1] * weight;
+    const double vk = x[i] * weight;
+    double* const ri = m + i * n;
+    double* const rk = ri + n;
+    ri[0] += vi;
+    rk[0] += vk;
+    for (std::size_t j = 1; j <= i; ++j) {
+      const double xj = x[j - 1];
+      ri[j] += vi * xj;
+      rk[j] += vk * xj;
+    }
+    rk[i + 1] += vk * x[i];
   }
+  if (i < n) {  // the last row, when dim is odd
+    const double vi = x[i - 1] * weight;
+    double* const ri = m + i * n;
+    ri[0] += vi;
+    for (std::size_t j = 1; j <= i; ++j) ri[j] += vi * x[j - 1];
+  }
+  const double wr = weight * reward;
+  pa.xty[0] += wr;
+  for (std::size_t k = 1; k < n; ++k) pa.xty[k] += wr * x[k - 1];
   pa.total_weight += weight;
   fitted_ = false;
 }
@@ -49,15 +87,16 @@ void RidgeRewardModel::merge_observations(const RidgeRewardModel& other) {
     throw std::invalid_argument(
         "RidgeRewardModel::merge_observations: shape/lambda mismatch");
   }
+  const std::size_t n = dim_with_bias_;
   for (std::size_t a = 0; a < per_action_.size(); ++a) {
     auto& pa = per_action_[a];
     const auto& opa = other.per_action_[a];
-    for (std::size_t i = 0; i < dim_with_bias_; ++i) {
-      for (std::size_t j = 0; j < dim_with_bias_; ++j) {
-        // Subtract the other model's lambda*I so the prior enters once.
-        const double prior = i == j ? lambda_ : 0.0;
-        pa.xtx.at(i, j) += opa.xtx.at(i, j) - prior;
-      }
+    const std::span<double> m = pa.xtx.values();
+    const std::span<const double> o = opa.xtx.values();
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < i; ++j) m[i * n + j] += o[i * n + j];
+      // Subtract the other model's lambda*I so the prior enters once.
+      m[i * n + i] += o[i * n + i] - lambda_;
       pa.xty[i] += opa.xty[i];
     }
     pa.total_weight += opa.total_weight;

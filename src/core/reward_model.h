@@ -27,15 +27,24 @@ using RewardModelPtr = std::shared_ptr<const RewardModel>;
 
 /// One ridge regression per action on bias-augmented features, fit with
 /// per-sample weights (importance weights when training from exploration
-/// data). Closed-form normal equations solved by Cholesky.
+/// data). Closed-form normal equations solved by Cholesky. Only the lower
+/// triangle of each X^T W X is accumulated, because it is all the Cholesky
+/// solve reads.
 class RidgeRewardModel final : public RewardModel {
  public:
   /// `dim` is the raw context dimension (a bias feature is added inside).
   RidgeRewardModel(std::size_t num_actions, std::size_t dim, double lambda);
 
-  /// Adds one weighted observation of (x, a) -> reward.
-  void observe(const FeatureVector& x, ActionId a, double reward,
+  /// Adds one weighted observation of ([1, x], a) -> reward, reading the raw
+  /// context `x` in place. Allocates nothing. Throws std::out_of_range for
+  /// an action out of range and std::invalid_argument unless x.size() is
+  /// the model's dim.
+  void observe(std::span<const double> x, ActionId a, double reward,
                double weight = 1.0);
+  void observe(const FeatureVector& x, ActionId a, double reward,
+               double weight = 1.0) {
+    observe(x.values(), a, reward, weight);
+  }
 
   /// Solves the normal equations; call after all observations (idempotent —
   /// re-fitting after more observations is allowed).
@@ -47,6 +56,10 @@ class RidgeRewardModel final : public RewardModel {
   /// per-shard models and merge them in a fixed order, which keeps the fit
   /// deterministic for any thread count.
   void merge_observations(const RidgeRewardModel& other);
+
+  /// Drops every observation, leaving the model as constructed. Allocates
+  /// nothing, so a caller can recycle accumulators.
+  void clear_observations();
 
   double predict(const FeatureVector& x, ActionId a) const override;
   std::size_t num_actions() const override { return per_action_.size(); }
@@ -66,7 +79,7 @@ class RidgeRewardModel final : public RewardModel {
 
  private:
   struct PerAction {
-    Matrix xtx;                    // X^T W X + lambda I accumulator
+    Matrix xtx;                    // X^T W X + lambda I, lower triangle
     std::vector<double> xty;       // X^T W y accumulator
     double total_weight = 0;
   };

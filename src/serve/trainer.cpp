@@ -2,19 +2,43 @@
 
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "core/reward_model.h"
 #include "serve/persist.h"
 
 namespace harvest::serve {
 
+namespace {
+
+// A full window holds at most this many closed chunks, the shard cap of
+// par::ShardPlan::fixed: a retrain merges at most one block more than
+// fit_ridge does.
+constexpr std::size_t kWindowChunks = 64;
+
+std::size_t ceil_div(std::size_t n, std::size_t d) { return (n + d - 1) / d; }
+
+}  // namespace
+
 SnapshotTrainer::SnapshotTrainer(DecisionService& service, Options options)
-    : service_(service), options_(options) {}
+    : service_(service),
+      options_(options),
+      chunk_rows_(ceil_div(options.window_rows, kWindowChunks)),
+      max_chunks_(chunk_rows_ == 0
+                      ? 1
+                      : ceil_div(options.window_rows, chunk_rows_) + 1) {
+  chunks_.push_back(empty_model());
+}
 
 SnapshotTrainer::~SnapshotTrainer() { stop(); }
+
+core::RidgeRewardModel SnapshotTrainer::empty_model() const {
+  return core::RidgeRewardModel(service_.options().num_actions,
+                                service_.options().dim,
+                                options_.train.ridge_lambda);
+}
 
 bool SnapshotTrainer::ingest(const DecisionRecord& rec) {
   if (std::isnan(rec.reward)) {
@@ -28,26 +52,35 @@ bool SnapshotTrainer::ingest(const DecisionRecord& rec) {
     dim_mismatch_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  core::ExplorationPoint point;
-  point.context = core::FeatureVector(
-      std::vector<double>(rec.context, rec.context + rec.dim));
-  point.action = rec.action;
-  point.reward = rec.reward;
-  point.propensity = rec.propensity;
+  // Written so that a NaN propensity fails too.
+  if (rec.action >= service_.options().num_actions ||
+      !(rec.propensity > 0.0 && rec.propensity <= 1.0)) {
+    invalid_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  const double weight =
+      options_.train.importance_weighted ? 1.0 / rec.propensity : 1.0;
   std::lock_guard<std::mutex> lock(mu_);
-  buffer_.push_back(std::move(point));
+  chunks_[open_].observe(std::span<const double>(rec.context, rec.dim),
+                         rec.action, rec.reward, weight);
+  if (++open_rows_ == chunk_rows_) {
+    open_rows_ = 0;
+    if (chunks_.size() < max_chunks_) {
+      chunks_.push_back(empty_model());
+      open_ = chunks_.size() - 1;
+    } else {
+      // The oldest chunk leaves the window and is reused as the open one.
+      open_ = head_;
+      chunks_[open_].clear_observations();
+      head_ = (head_ + 1) % chunks_.size();
+    }
+  }
   return true;
 }
 
 std::size_t SnapshotTrainer::collect() {
   const ServeDrainStats stats =
       service_.drain([this](const DecisionRecord& rec) { ingest(rec); });
-  std::lock_guard<std::mutex> lock(mu_);
-  if (options_.window_rows > 0 && buffer_.size() > options_.window_rows) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.end() - static_cast<std::ptrdiff_t>(
-                                      options_.window_rows));
-  }
   collected_.fetch_add(stats.drained, std::memory_order_relaxed);
   return stats.drained;
 }
@@ -65,21 +98,25 @@ std::unique_ptr<const PolicySnapshot> SnapshotTrainer::train_on(
 }
 
 std::uint64_t SnapshotTrainer::train_and_publish() {
-  core::ExplorationDataset data(service_.options().num_actions,
-                                options_.reward_range);
+  core::RidgeRewardModel ridge = empty_model();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (buffer_.size() < options_.min_rows) return 0;
-    data.reserve(buffer_.size());
-    for (const auto& point : buffer_) data.add(point);
+    if (buffered_rows_locked() < options_.min_rows) return 0;
+    // Oldest first, the open chunk last: the result depends only on the
+    // sequence of tuples in the window.
+    for (std::size_t i = 0; i < chunks_.size(); ++i) {
+      ridge.merge_observations(chunks_[(head_ + i) % chunks_.size()]);
+    }
   }
+  ridge.fit();
   // The service mints the id under its publish lock and the snapshot is
   // built inside the same critical section, so racing publishers cannot
   // mint duplicates; we read the assigned id back from the return value.
   std::string persisted_bytes;
   const std::uint64_t id =
       service_.publish_with([&](std::uint64_t assigned_id) {
-        auto snapshot = train_on(data, assigned_id);
+        auto snapshot = PolicySnapshot::from_model(
+            assigned_id, ridge, service_.options().dim, options_.epsilon);
         if (options_.store != nullptr) persisted_bytes = snapshot->serialize();
         return snapshot;
       });
@@ -116,8 +153,16 @@ void SnapshotTrainer::start(std::chrono::milliseconds period) {
         return;
       }
       lock.unlock();
-      collect();
-      train_and_publish();
+      try {
+        collect();
+        train_and_publish();
+      } catch (const std::exception& e) {
+        // Leaving the thread function would call std::terminate; count the
+        // round and keep serving the current snapshot.
+        round_failures_.fetch_add(1, std::memory_order_relaxed);
+        std::fprintf(stderr, "SnapshotTrainer: retrain round failed: %s\n",
+                     e.what());
+      }
       lock.lock();
     }
   });
@@ -136,7 +181,11 @@ void SnapshotTrainer::stop() {
 
 std::size_t SnapshotTrainer::buffered_rows() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return buffer_.size();
+  return buffered_rows_locked();
+}
+
+std::size_t SnapshotTrainer::buffered_rows_locked() const {
+  return (chunks_.size() - 1) * chunk_rows_ + open_rows_;
 }
 
 }  // namespace harvest::serve

@@ -4,11 +4,16 @@
 // The SnapshotTrainer closes the paper's harvest loop online: the decision
 // stream the service logs is exactly the ⟨x, a, r, p⟩ exploration data of
 // §2 (propensities are exact by construction), so retraining is the same
-// importance-weighted ridge fit the offline pipeline uses
-// (core::train_cb_policy_with_model), and publishing is one atomic swap.
-// Because the fit runs on the deterministic par:: machinery, the snapshot
-// bytes are identical at any trainer thread count — the determinism suite
-// compares serialize() at 1 vs 8 threads.
+// importance-weighted ridge regression the offline pipeline fits
+// (core::fit_ridge), and publishing is one atomic swap.
+//
+// The trainer keeps no rows. ingest() folds each labeled tuple once into the
+// ridge sufficient statistics (per action X^T W X, X^T W y and the weight
+// sum) of the open chunk of C rows; the window is a ring of such chunks. A
+// retrain merges at most 65 chunks, oldest first, and runs one Cholesky
+// solve per action, so its cost does not grow with the window. No par:: fit
+// runs online: the published bytes depend only on the sequence of ingested
+// tuples, not on how collect() calls split it and not on any thread count.
 #pragma once
 
 #include <atomic>
@@ -20,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/reward_model.h"
 #include "core/train/trainer.h"
 #include "core/types.h"
 #include "serve/service.h"
@@ -39,9 +45,17 @@ class SnapshotTrainer {
     /// train_and_publish() refuses to retrain on fewer labeled tuples than
     /// this (a fit on a handful of rows would publish noise).
     std::size_t min_rows = 64;
+    /// Read by nothing: the online fit needs no dataset. Kept so that
+    /// callers which set it still build.
     core::RewardRange reward_range = {};
-    /// When positive, only the most recent `window_rows` labeled tuples are
-    /// kept (sliding window over the decision stream); 0 keeps everything.
+    /// When positive, the fit covers a sliding window of about the most
+    /// recent `window_rows` labeled tuples. They are folded in chunks of
+    /// C = ceil(window_rows / 64) rows; a chunk closes after exactly C rows,
+    /// and the window is the newest ceil(window_rows / C) closed chunks plus
+    /// the open one, so once full it holds at least window_rows and fewer
+    /// than window_rows + 2C tuples. 0 folds every tuple into one
+    /// accumulator that never closes: the fit covers everything ingested,
+    /// at constant memory.
     std::size_t window_rows = 0;
     /// When set, every successfully published snapshot is also persisted to
     /// the store (serialized under the publish lock, written outside it), so
@@ -51,44 +65,52 @@ class SnapshotTrainer {
     SnapshotStore* store = nullptr;
   };
 
+  /// Throws std::invalid_argument unless options.train.ridge_lambda > 0.
   SnapshotTrainer(DecisionService& service, Options options);
   ~SnapshotTrainer();
 
   SnapshotTrainer(const SnapshotTrainer&) = delete;
   SnapshotTrainer& operator=(const SnapshotTrainer&) = delete;
 
-  /// Drains the service rings into the trainer's buffer via ingest().
-  /// Returns records drained this call.
+  /// Drains the service rings into the window via ingest(). Returns
+  /// records drained this call.
   std::size_t collect();
 
-  /// Validates and buffers one drained record: reward-less tuples (NaN —
-  /// decide() with no log_reward()) and records whose `dim` disagrees with
-  /// the service geometry are counted and skipped, never trained on (a
-  /// truncated context would silently corrupt the ridge fit). Returns true
-  /// when the record was buffered. Thread-safe; public so tests can feed
-  /// records directly.
+  /// Validates one drained record and folds it into the open chunk. Each
+  /// failing record is counted and skipped, never trained on:
+  ///  - no reward (NaN: decide() with no log_reward()): unlabeled_dropped();
+  ///  - `dim` not the service dim (a truncated context would silently
+  ///    corrupt the fit): dim_mismatch_dropped();
+  ///  - action out of range, or propensity not in (0, 1] (NaN included),
+  ///    which the importance weight 1/p cannot use: invalid_dropped().
+  /// Returns true when the record was folded. Allocates nothing once the
+  /// window is full. Thread-safe; public so tests can feed records
+  /// directly.
   bool ingest(const DecisionRecord& rec);
 
-  /// Retrains on the buffered tuples and publishes the result under the
-  /// service's race-free id assignment (DecisionService::publish_with), so
-  /// concurrent publishers can never mint duplicate snapshot ids. Returns
-  /// the assigned id read back from the publish, or 0 without publishing
-  /// when fewer than min_rows labeled tuples are buffered. When a store is
-  /// configured, the published snapshot is persisted as well.
+  /// Retrains on the window — merges its chunks oldest first into a fresh
+  /// model and solves — and publishes the result under the service's
+  /// race-free id assignment (DecisionService::publish_with), so concurrent
+  /// publishers can never mint duplicate snapshot ids. Returns the assigned
+  /// id read back from the publish, or 0 without publishing when
+  /// buffered_rows() is below min_rows. When a store is configured, the
+  /// published snapshot is persisted as well.
   std::uint64_t train_and_publish();
 
-  /// The retrain step alone: importance-weighted ridge on `data`, copied
-  /// into a snapshot with the trainer's epsilon. Exposed so drivers can
-  /// retrain from an HLOG corpus they scavenged themselves (the offline
-  /// path) and so the determinism suite can diff snapshot bytes. Throws
-  /// std::invalid_argument on an empty dataset.
+  /// The offline retrain: core::fit_ridge on `data` (sharded over the
+  /// par:: pool, bytes identical at any thread count), copied into a
+  /// snapshot with the trainer's epsilon. Touches no trainer state; tools
+  /// call it to retrain from an HLOG corpus they scavenged themselves.
+  /// Throws std::invalid_argument on an empty dataset.
   std::unique_ptr<const PolicySnapshot> train_on(
       const core::ExplorationDataset& data, std::uint64_t id) const;
 
   /// Starts the background retrain thread: every `period` it collects,
   /// retrains when enough labeled data arrived, publishes, and reclaims.
   /// Deciders are never blocked; they just keep reading whichever snapshot
-  /// is current. stop() joins the thread (also called by the destructor).
+  /// is current. A round that throws is printed to stderr and counted
+  /// (round_failures()), and the next period tries again. stop() joins the
+  /// thread (also called by the destructor).
   void start(std::chrono::milliseconds period);
   /// Returns promptly: the worker waits on a condition variable, so stop()
   /// interrupts an in-progress sleep instead of blocking for up to a full
@@ -96,6 +118,8 @@ class SnapshotTrainer {
   void stop();
   bool running() const { return running_.load(std::memory_order_acquire); }
 
+  /// Tuples in the window: all tuples ingested when window_rows is 0. The
+  /// next retrain fits exactly these, and min_rows is compared against it.
   std::size_t buffered_rows() const;
   std::uint64_t collected() const {
     return collected_.load(std::memory_order_relaxed);
@@ -108,6 +132,10 @@ class SnapshotTrainer {
   std::uint64_t dim_mismatch_dropped() const {
     return dim_mismatch_.load(std::memory_order_relaxed);
   }
+  /// Tuples dropped because the action or the propensity was invalid.
+  std::uint64_t invalid_dropped() const {
+    return invalid_.load(std::memory_order_relaxed);
+  }
   std::uint64_t published() const {
     return published_.load(std::memory_order_relaxed);
   }
@@ -118,20 +146,37 @@ class SnapshotTrainer {
   std::uint64_t persist_failures() const {
     return persist_failures_.load(std::memory_order_relaxed);
   }
+  /// Rounds of the start() thread that ended in an exception.
+  std::uint64_t round_failures() const {
+    return round_failures_.load(std::memory_order_relaxed);
+  }
 
  private:
+  core::RidgeRewardModel empty_model() const;
+  std::size_t buffered_rows_locked() const;
+
   DecisionService& service_;
   Options options_;
+  std::size_t chunk_rows_;  // C; 0 when window_rows is 0 (never closes)
+  std::size_t max_chunks_;  // closed chunks in a full window, plus the open
 
   mutable std::mutex mu_;
-  std::vector<core::ExplorationPoint> buffer_;  // guarded by mu_
+  // The window's chunk statistics as a ring: chunks_[head_] is the oldest
+  // and chunks_[open_], the one just before it, the open one, which holds
+  // open_rows_ tuples.
+  std::vector<core::RidgeRewardModel> chunks_;  // guarded by mu_
+  std::size_t head_ = 0;                        // guarded by mu_
+  std::size_t open_ = 0;                        // guarded by mu_
+  std::size_t open_rows_ = 0;                   // guarded by mu_
 
   std::atomic<std::uint64_t> collected_{0};
   std::atomic<std::uint64_t> unlabeled_{0};
   std::atomic<std::uint64_t> dim_mismatch_{0};
+  std::atomic<std::uint64_t> invalid_{0};
   std::atomic<std::uint64_t> published_{0};
   std::atomic<std::uint64_t> persisted_{0};
   std::atomic<std::uint64_t> persist_failures_{0};
+  std::atomic<std::uint64_t> round_failures_{0};
 
   std::thread worker_;
   std::atomic<bool> running_{false};

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "core/policies/basic.h"
 
 namespace harvest::core {
@@ -79,6 +84,42 @@ TEST(RidgeRewardModelTest, ObservationWeightTracked) {
   model.observe(FeatureVector{0.0}, 0, 1.0, 1.5);
   EXPECT_DOUBLE_EQ(model.observation_weight(0), 4.0);
   EXPECT_DOUBLE_EQ(model.observation_weight(1), 0.0);
+}
+
+TEST(RidgeRewardModelTest, ClearedModelFitsExactlyLikeAFreshOne) {
+  // A recycled accumulator must fit like a new one, bit for bit, and the
+  // span overload must fold like the FeatureVector one. Dims 1, 4 and 5
+  // cover observe()'s paired rows and its odd last row.
+  for (const std::size_t dim : {1u, 4u, 5u}) {
+    util::Rng rng(6);
+    RidgeRewardModel fresh(2, dim, 0.5);
+    RidgeRewardModel recycled(2, dim, 0.5);
+    std::vector<double> x(dim);
+    for (int i = 0; i < 50; ++i) {
+      for (auto& v : x) v = rng.uniform(-1, 1);
+      recycled.observe(std::span<const double>(x), i % 2, rng.uniform(), 2.0);
+    }
+    recycled.fit();
+    recycled.clear_observations();
+    EXPECT_EQ(recycled.observation_weight(0), 0.0);
+    EXPECT_THROW(recycled.coefficients(), std::logic_error);
+    for (int i = 0; i < 50; ++i) {
+      for (auto& v : x) v = rng.uniform(-1, 1);
+      const double r = rng.uniform();
+      fresh.observe(FeatureVector(x), i % 2, r, 1.5);
+      recycled.observe(std::span<const double>(x), i % 2, r, 1.5);
+    }
+    fresh.fit();
+    recycled.fit();
+    const std::span<const double> want = fresh.coefficients();
+    const std::span<const double> got = recycled.coefficients();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "dim=" << dim << " coefficient " << i;
+    }
+  }
 }
 
 TEST(SgdRewardModelTest, ConvergesOnLinearTarget) {

@@ -11,10 +11,13 @@
 //  - safe reclamation: a snapshot is never freed while a reader holds it
 //    (the canary check would fail), and after quiescence every retired
 //    snapshot is reclaimed — the alive count returns to exactly one;
-//  - exact accounting under concurrency: drained + dropped == decided.
+//  - exact accounting under concurrency: drained + dropped == decided;
+//  - the SnapshotTrainer's background thread collects, retrains and
+//    publishes while deciders serve and another thread ingests directly.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <span>
 #include <thread>
@@ -22,6 +25,7 @@
 
 #include "serve/service.h"
 #include "serve/snapshot.h"
+#include "serve/trainer.h"
 #include "util/rng.h"
 
 namespace harvest::serve {
@@ -228,6 +232,103 @@ TEST(ServeStressTest, PublishersAndReclaimersRace) {
 
   EXPECT_EQ(service.swaps(), 1000u);
   service.reclaim_all();
+  EXPECT_EQ(PolicySnapshot::alive_count(), alive_before + 1);
+}
+
+TEST(ServeStressTest, TrainerRetrainsWhileDecidersServe) {
+  const std::uint64_t alive_before = PolicySnapshot::alive_count();
+  constexpr std::size_t kDeciders = 2;
+  constexpr std::size_t kMinDecisions = 20000;
+  constexpr std::uint64_t kMinPublishes = 5;
+  DecisionService service(
+      {.num_actions = kActions, .dim = kDim, .log_capacity = 1 << 14,
+       .seed = 61},
+      make_snapshot(1, 13));
+  std::vector<Decider*> deciders;
+  for (std::size_t t = 0; t < kDeciders; ++t) {
+    deciders.push_back(&service.add_decider());
+  }
+  SnapshotTrainer trainer(service, {.min_rows = 64, .window_rows = 4096});
+  trainer.start(std::chrono::milliseconds(1));
+
+  // Each decider keeps serving until the trainer has published a few times,
+  // so retrains overlap deciding; the deadline ends a run whose trainer is
+  // stuck.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<std::uint64_t> went_back{0};
+  std::vector<std::vector<std::uint64_t>> served(kDeciders);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kDeciders; ++t) {
+    threads.emplace_back([&, t] {
+      Decider& d = *deciders[t];
+      util::Rng ctx_rng(700 + t);
+      double ctx[kDim];
+      std::uint64_t last_id = 0;
+      for (std::size_t i = 0;
+           i < kMinDecisions || (trainer.published() < kMinPublishes &&
+                                 std::chrono::steady_clock::now() < deadline);
+           ++i) {
+        for (std::size_t k = 0; k < kDim; ++k) ctx[k] = ctx_rng.uniform();
+        const Decision dec = d.decide(std::span<const double>(ctx, kDim));
+        d.log_reward(dec.action == 1 ? 0.8 : 0.2);
+        if (dec.snapshot_id < last_id) {
+          went_back.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (dec.snapshot_id != last_id) served[t].push_back(dec.snapshot_id);
+        last_id = dec.snapshot_id;
+      }
+    });
+  }
+  // A third thread feeds the trainer directly and reads the window size,
+  // which must stay within its bounds (window 4096, chunks of 64 rows).
+  std::atomic<bool> deciders_done{false};
+  std::atomic<std::uint64_t> ingested{0};
+  std::atomic<std::uint64_t> bad_window{0};
+  std::thread ingester([&] {
+    util::Rng rng(800);
+    DecisionRecord rec;
+    rec.dim = kDim;
+    while (!deciders_done.load(std::memory_order_acquire)) {
+      rec.action = static_cast<std::uint32_t>(rng.uniform_index(kActions));
+      rec.propensity = 1.0 / kActions;
+      for (std::size_t k = 0; k < kDim; ++k) rec.context[k] = rng.uniform();
+      rec.reward = rng.uniform();
+      if (trainer.ingest(rec)) ingested.fetch_add(1, std::memory_order_relaxed);
+      const std::size_t rows = trainer.buffered_rows();
+      if (rows == 0 || rows >= 4096 + 2 * 64) {
+        bad_window.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+
+  for (auto& t : threads) t.join();
+  deciders_done.store(true, std::memory_order_release);
+  ingester.join();
+  trainer.stop();
+  trainer.collect();  // what the deciders logged after the last round
+
+  EXPECT_EQ(went_back.load(), 0u);
+  EXPECT_GT(ingested.load(), 0u);
+  EXPECT_EQ(bad_window.load(), 0u);
+  EXPECT_EQ(trainer.round_failures(), 0u);
+  EXPECT_GE(trainer.published(), kMinPublishes);
+  // Only the trainer publishes, and the service mints ids in order.
+  EXPECT_EQ(service.current_id(), 1 + trainer.published());
+  std::uint64_t pushed = 0;
+  for (std::size_t t = 0; t < kDeciders; ++t) {
+    const Decider& d = *deciders[t];
+    EXPECT_EQ(d.logged() + d.dropped(), d.decided());
+    pushed += d.logged();
+    for (const std::uint64_t id : served[t]) {
+      EXPECT_TRUE(service.was_published(id)) << "served " << id;
+    }
+  }
+  EXPECT_EQ(trainer.collected(), pushed);
+  EXPECT_EQ(trainer.unlabeled_dropped(), 0u);
+
+  service.reclaim_all();
+  EXPECT_EQ(service.retired_count(), 0u);
   EXPECT_EQ(PolicySnapshot::alive_count(), alive_before + 1);
 }
 

@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "core/policies/greedy.h"
+#include "core/reward_model.h"
 #include "serve/alloc_gate.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
@@ -449,6 +453,234 @@ TEST(SnapshotTrainerTest, RefusesToTrainOnTooFewRows) {
   EXPECT_EQ(service.current_id(), 1u);
 }
 
+TEST(SnapshotTrainerTest, IngestRejectsWhatTheRetrainWouldReject) {
+  // Folded, such a record would make every retrain throw (action = K,
+  // p = 0) or publish NaN weights (p = NaN) for as long as it stayed in the
+  // window.
+  DecisionService service(small_service(),
+                          PolicySnapshot::uniform(1, 3, 2));
+  Decider& d = service.add_decider();
+  SnapshotTrainer trainer(service, {.min_rows = 4});
+  DecisionRecord rec;
+  rec.reward = 0.5;
+  rec.propensity = 1.0 / 3.0;
+  rec.dim = 2;
+  rec.context[0] = 0.1;
+  rec.context[1] = 0.7;
+  for (std::uint32_t a = 0; a < 3; ++a) {
+    rec.action = a;
+    EXPECT_TRUE(trainer.ingest(rec));
+    EXPECT_TRUE(trainer.ingest(rec));
+  }
+  DecisionRecord bad_action = rec;
+  bad_action.action = 3;  // == num_actions
+  EXPECT_FALSE(trainer.ingest(bad_action));
+  DecisionRecord zero_p = rec;
+  zero_p.propensity = 0.0;
+  EXPECT_FALSE(trainer.ingest(zero_p));
+  DecisionRecord nan_p = rec;
+  nan_p.propensity = std::nan("");
+  EXPECT_FALSE(trainer.ingest(nan_p));
+  EXPECT_EQ(trainer.invalid_dropped(), 3u);
+  EXPECT_EQ(trainer.buffered_rows(), 6u);
+
+  EXPECT_EQ(trainer.train_and_publish(), 2u);
+  const SnapshotRef ref = d.snapshot();
+  for (const double w : ref->weights()) EXPECT_TRUE(std::isfinite(w));
+}
+
+TEST(SnapshotTrainerTest, WorkerCountsAFailedRoundAndKeepsRunning) {
+  // An exception leaving the start() thread would call std::terminate.
+  // Here every publish throws: epsilon 2 is not a valid snapshot epsilon.
+  DecisionService service(small_service(),
+                          PolicySnapshot::uniform(1, 3, 2));
+  Decider& d = service.add_decider();
+  SnapshotTrainer trainer(service, {.epsilon = 2.0, .min_rows = 4});
+  const std::vector<double> x{0.5, 0.5};
+  for (int i = 0; i < 8; ++i) d.decide_logged(x, 1.0);
+  trainer.start(std::chrono::milliseconds(1));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (trainer.round_failures() < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  trainer.stop();
+  EXPECT_GE(trainer.round_failures(), 2u);
+  EXPECT_EQ(trainer.collected(), 8u);
+  EXPECT_EQ(trainer.published(), 0u);
+  EXPECT_EQ(service.current_id(), 1u);
+}
+
+// ---- The trainer's arithmetic contract ------------------------------------
+
+constexpr std::size_t kFitActions = 4;
+constexpr std::size_t kFitDim = 5;
+
+DecisionService::Options fit_service() {
+  return {.num_actions = kFitActions, .dim = kFitDim, .seed = 5};
+}
+
+/// A seeded stream of labeled tuples: propensities in [0.05, 1] (importance
+/// weights up to 20) and a noisy linear reward.
+class RecordStream {
+ public:
+  explicit RecordStream(std::uint64_t seed) : rng_(seed) {}
+
+  DecisionRecord next() {
+    DecisionRecord rec;
+    rec.action = static_cast<std::uint32_t>(rng_.uniform_index(kFitActions));
+    rec.propensity = rng_.uniform(0.05, 1.0);
+    rec.dim = kFitDim;
+    for (std::size_t d = 0; d < kFitDim; ++d) {
+      rec.context[d] = rng_.uniform(-1, 1);
+    }
+    rec.reward = 0.2 * (rec.action + 1) * rec.context[0] -
+                 0.3 * rec.context[1] + 0.1 * rng_.uniform();
+    return rec;
+  }
+
+ private:
+  util::Rng rng_;
+};
+
+/// The bit patterns of the weights the service serves now.
+std::vector<std::uint64_t> served_weight_bits(Decider& d) {
+  const SnapshotRef ref = d.snapshot();
+  std::vector<std::uint64_t> bits;
+  for (const double w : ref->weights()) {
+    bits.push_back(std::bit_cast<std::uint64_t>(w));
+  }
+  return bits;
+}
+
+TEST(SnapshotTrainerTest, RetrainDoesNotDependOnWhereIngestSplits) {
+  constexpr std::size_t kRows = 9000;
+  DecisionService one_run(fit_service(),
+                          PolicySnapshot::uniform(1, kFitActions, kFitDim));
+  Decider& one_decider = one_run.add_decider();
+  SnapshotTrainer whole(one_run, {.window_rows = 2000});
+  RecordStream stream(11);
+  for (std::size_t i = 0; i < kRows; ++i) whole.ingest(stream.next());
+  ASSERT_NE(whole.train_and_publish(), 0u);
+
+  DecisionService split_run(fit_service(),
+                            PolicySnapshot::uniform(1, kFitActions, kFitDim));
+  Decider& split_decider = split_run.add_decider();
+  SnapshotTrainer split(split_run, {.window_rows = 2000});
+  RecordStream again(11);
+  util::Rng cuts(12);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    split.ingest(again.next());
+    if (cuts.bernoulli(0.002)) split.train_and_publish();
+  }
+  ASSERT_GT(split.published(), 3u);
+  ASSERT_NE(split.train_and_publish(), 0u);
+  EXPECT_EQ(served_weight_bits(one_decider), served_weight_bits(split_decider));
+}
+
+TEST(SnapshotTrainerTest, RetrainIsTheOldestFirstMergeOfItsChunks) {
+  // window_rows 1000: chunks of C = ceil(1000 / 64) = 16 rows, and a full
+  // window is the newest ceil(1000 / 16) = 63 closed chunks plus the open
+  // one. 5008 rows fill the open chunk exactly; 5007 leave it one short.
+  constexpr std::size_t kWindow = 1000;
+  constexpr std::size_t kChunk = 16;
+  constexpr std::size_t kClosedChunks = 63;
+  for (const std::size_t rows : {std::size_t{5007}, std::size_t{5008}}) {
+    DecisionService service(fit_service(),
+                            PolicySnapshot::uniform(1, kFitActions, kFitDim));
+    Decider& d = service.add_decider();
+    SnapshotTrainer trainer(service, {.epsilon = 0.2, .window_rows = kWindow});
+    RecordStream stream(21);
+    for (std::size_t i = 0; i < rows; ++i) trainer.ingest(stream.next());
+    const std::uint64_t id = trainer.train_and_publish();
+    ASSERT_NE(id, 0u);
+
+    const std::size_t first = (rows / kChunk - kClosedChunks) * kChunk;
+    EXPECT_EQ(trainer.buffered_rows(), rows - first);
+    core::RidgeRewardModel merged(kFitActions, kFitDim, 1.0);
+    core::RidgeRewardModel chunk(kFitActions, kFitDim, 1.0);
+    RecordStream replay(21);
+    for (std::size_t i = 0; i < rows; ++i) {
+      const DecisionRecord rec = replay.next();
+      if (i < first) continue;
+      chunk.observe(std::span<const double>(rec.context, rec.dim),
+                    rec.action, rec.reward, 1.0 / rec.propensity);
+      if ((i - first + 1) % kChunk == 0) {
+        merged.merge_observations(chunk);
+        chunk.clear_observations();
+      }
+    }
+    merged.merge_observations(chunk);  // the open chunk, even when empty
+    merged.fit();
+    const auto expected =
+        PolicySnapshot::from_model(id, merged, kFitDim, 0.2);
+    const SnapshotRef served = d.snapshot();
+    EXPECT_EQ(served->serialize(), expected->serialize()) << "rows=" << rows;
+  }
+}
+
+TEST(SnapshotTrainerTest, RetrainAgreesWithFitRidgeOnTheWindow) {
+  // The chunked sums add the same terms as fit_ridge in another order, so
+  // the coefficients agree to rounding.
+  for (const std::size_t window : {std::size_t{50000}, std::size_t{0}}) {
+    const std::size_t rows = window == 0 ? 100000 : 3 * window + 123;
+    DecisionService service(fit_service(),
+                            PolicySnapshot::uniform(1, kFitActions, kFitDim));
+    Decider& d = service.add_decider();
+    SnapshotTrainer trainer(service, {.window_rows = window});
+    RecordStream stream(31);
+    for (std::size_t i = 0; i < rows; ++i) trainer.ingest(stream.next());
+    ASSERT_NE(trainer.train_and_publish(), 0u);
+    const std::size_t kept = trainer.buffered_rows();
+
+    core::ExplorationDataset data(kFitActions, {0, 1});
+    data.reserve(kept);
+    RecordStream replay(31);
+    for (std::size_t i = 0; i < rows; ++i) {
+      const DecisionRecord rec = replay.next();
+      if (i < rows - kept) continue;
+      data.add({core::FeatureVector(std::vector<double>(
+                    rec.context, rec.context + rec.dim)),
+                rec.action, rec.reward, rec.propensity});
+    }
+    const core::RidgeRewardModel reference = core::fit_ridge(data, 1.0, true);
+    const std::span<const double> want = reference.coefficients();
+    const SnapshotRef served = d.snapshot();
+    const std::span<const double> got = served->weights();
+    ASSERT_EQ(got.size(), want.size());
+    double max_abs = 0, max_diff = 0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      max_abs = std::max(max_abs, std::abs(want[i]));
+      max_diff = std::max(max_diff, std::abs(got[i] - want[i]));
+    }
+    EXPECT_GT(max_abs, 0.1);
+    EXPECT_LE(max_diff, 1e-9 * max_abs) << "window_rows=" << window;
+  }
+}
+
+TEST(SnapshotTrainerTest, WindowHoldsBetweenWAndWPlusTwoChunks) {
+  for (const std::size_t window :
+       {std::size_t{1}, std::size_t{50}, std::size_t{64}, std::size_t{65},
+        std::size_t{1000}, std::size_t{50000}}) {
+    const std::size_t chunk = (window + 63) / 64;
+    DecisionService service(fit_service(),
+                            PolicySnapshot::uniform(1, kFitActions, kFitDim));
+    SnapshotTrainer trainer(service, {.window_rows = window});
+    RecordStream stream(41);
+    for (std::size_t i = 0; i < 3 * window + 2 * chunk; ++i) {
+      trainer.ingest(stream.next());
+      const std::size_t rows = trainer.buffered_rows();
+      if (i + 1 < window) {
+        ASSERT_EQ(rows, i + 1) << "window_rows=" << window;
+      } else if (i + 1 >= 2 * window) {
+        ASSERT_GE(rows, window);
+        ASSERT_LT(rows, window + 2 * chunk) << "window_rows=" << window;
+      }
+    }
+  }
+}
+
 TEST(AllocGateTest, PositiveControlDetectsAllocation) {
   const AllocGate gate;
   auto* p = new int(42);
@@ -477,6 +709,27 @@ TEST(AllocGateTest, DecidePathIsZeroAllocation) {
     d.decide_logged(std::span<const double>(ctx, 2), 0.5);
   }
   EXPECT_EQ(gate.delta(), 0u) << "decide path allocated";
+}
+
+TEST(AllocGateTest, FullWindowIngestIsZeroAllocation) {
+  // Once the window is full, the chunk that leaves it is cleared and reused:
+  // ingest folds each tuple in place. With window_rows 0 the one
+  // accumulator never closes.
+  constexpr std::size_t kChunk = 50;  // ceil(3200 / 64)
+  for (const std::size_t window : {std::size_t{3200}, std::size_t{0}}) {
+    DecisionService service(fit_service(),
+                            PolicySnapshot::uniform(1, kFitActions, kFitDim));
+    SnapshotTrainer trainer(service, {.window_rows = window});
+    RecordStream stream(51);
+    for (std::size_t i = 0; i < 2 * 3200; ++i) trainer.ingest(stream.next());
+    const AllocGate gate;
+    std::size_t folded = 0;
+    for (std::size_t i = 0; i < 10 * kChunk; ++i) {
+      folded += trainer.ingest(stream.next()) ? 1 : 0;
+    }
+    EXPECT_EQ(gate.delta(), 0u) << "ingest allocated, window_rows=" << window;
+    EXPECT_EQ(folded, 10 * kChunk);
+  }
 }
 
 }  // namespace
