@@ -1,18 +1,16 @@
 // Shared helpers for the reproduction benches: banners, paper-vs-measured
 // table assembly, and common flags (--seed, --fast, --metrics-out,
-// --metrics-interval-ms, --threads, --trace-out).
+// --threads, --trace-out).
 #pragma once
 
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
-#include "obs/snapshot.h"
 #include "par/thread_pool.h"
 #include "util/flags.h"
 
@@ -31,8 +29,7 @@ inline void banner(const std::string& experiment, const std::string& claim) {
 /// Common bench flags: seed, fast mode (CI-scale runs), worker threads
 /// (--threads N; 0 or 1 runs sequentially — results are bit-identical
 /// either way, see src/par/par.h), an optional JSONL dump of every metric
-/// the run recorded (--metrics-out run.jsonl, optionally as a per-interval
-/// time series with --metrics-interval-ms N), and an optional flight
+/// the run recorded (--metrics-out run.jsonl), and an optional flight
 /// recorder trace dump (--trace-out trace.json).
 struct CommonFlags {
   std::uint64_t seed = 42;
@@ -40,10 +37,6 @@ struct CommonFlags {
   std::size_t threads = 1;
   std::string metrics_out;
   std::string trace_out;
-  std::size_t metrics_interval_ms = 0;
-  /// Periodic registry snapshotter, live for the run when
-  /// --metrics-interval-ms was given alongside --metrics-out.
-  std::shared_ptr<obs::SnapshotRecorder> snapshots;
 
   static CommonFlags parse(const util::Flags& flags) {
     CommonFlags out;
@@ -52,18 +45,10 @@ struct CommonFlags {
     out.threads = static_cast<std::size_t>(flags.get_int("threads", 1));
     out.metrics_out = flags.get_string("metrics-out", "");
     out.trace_out = flags.get_string("trace-out", "");
-    out.metrics_interval_ms =
-        static_cast<std::size_t>(flags.get_int("metrics-interval-ms", 0));
     // Installs the process-wide pool consumed by par::default_pool() inside
     // estimators, fitters, and the harvest pipeline.
     par::set_default_threads(out.threads);
     obs::Recorder::global().set_thread_name("main");
-    if (out.metrics_interval_ms > 0 && !out.metrics_out.empty()) {
-      out.snapshots = std::make_shared<obs::SnapshotRecorder>(
-          obs::Registry::global(), out.metrics_out,
-          std::chrono::milliseconds(out.metrics_interval_ms));
-      out.snapshots->start();
-    }
     return out;
   }
 };
@@ -90,18 +75,9 @@ class WallTimer {
 };
 
 /// Dumps the process-wide metric registry as JSONL when --metrics-out was
-/// given. Call once at the end of main, after the workload ran. In
-/// --metrics-interval-ms mode the file already holds the per-interval time
-/// series; this stops the snapshotter (writing the final interval) instead
-/// of overwriting with one end-of-run dump.
+/// given. Call once at the end of main, after the workload ran.
 inline void export_metrics(const CommonFlags& flags) {
   if (flags.metrics_out.empty()) return;
-  if (flags.snapshots != nullptr) {
-    flags.snapshots->stop();
-    std::cout << "metrics: " << flags.snapshots->snapshots_written()
-              << " timed snapshots written to " << flags.metrics_out << "\n";
-    return;
-  }
   if (obs::write_jsonl_file(obs::Registry::global(), flags.metrics_out)) {
     std::cout << "metrics: " << obs::Registry::global().size()
               << " series written to " << flags.metrics_out << "\n";

@@ -5,7 +5,9 @@
 // same pipeline::evaluate_candidates path harvest_inspect and the table
 // benches use — scope spans per stage, quarantine instants per dropped
 // record) with the process recorder enabled and disabled, takes the
-// min-of-reps wall time for each, and reports the relative overhead.
+// min-of-reps wall time for each, and reports the relative overhead. The two
+// modes alternate rep by rep, so a host slowdown during the run lands on both
+// sides instead of reading as recorder overhead.
 //
 //   obs_overhead [--fast] [--reps N] [--records N] [--iters N]
 //                [--max-overhead FRAC] [--json-out BENCH_obs.json]
@@ -59,19 +61,34 @@ void run_pipeline(const logs::LogStore& log,
   pipeline::evaluate_candidates(log, config, candidates, nullptr);
 }
 
-double min_of_reps(std::size_t reps, std::size_t iters,
-                   const logs::LogStore& log,
-                   const pipeline::PipelineConfig& config,
-                   const std::vector<core::PolicyPtr>& candidates) {
-  double best = 0;
+/// Min-of-reps wall time of `iters` passes with the recorder off and on.
+/// Every rep times one pass block in each mode, and the mode that goes first
+/// swaps from rep to rep. Leaves the recorder enabled.
+struct Timings {
+  double off_ms = 0;
+  double on_ms = 0;
+};
+
+Timings min_of_alternating_reps(std::size_t reps, std::size_t iters,
+                                const logs::LogStore& log,
+                                const pipeline::PipelineConfig& config,
+                                const std::vector<core::PolicyPtr>& candidates,
+                                obs::Recorder& recorder) {
+  Timings best;
   for (std::size_t r = 0; r < reps; ++r) {
-    bench::WallTimer timer;
-    for (std::size_t i = 0; i < iters; ++i) {
-      run_pipeline(log, config, candidates);
+    for (std::size_t k = 0; k < 2; ++k) {
+      const bool on = (r + k) % 2 == 1;
+      recorder.set_enabled(on);
+      bench::WallTimer timer;
+      for (std::size_t i = 0; i < iters; ++i) {
+        run_pipeline(log, config, candidates);
+      }
+      const double ms = timer.elapsed_ms();
+      double& side = on ? best.on_ms : best.off_ms;
+      if (r == 0 || ms < side) side = ms;
     }
-    const double ms = timer.elapsed_ms();
-    if (r == 0 || ms < best) best = ms;
   }
+  recorder.set_enabled(true);
   return best;
 }
 
@@ -122,15 +139,12 @@ int main(int argc, char** argv) {
   // timed reps measure steady state.
   run_pipeline(log, config, candidates);
   recorder.drain();
-
-  recorder.set_enabled(false);
-  const double baseline_ms =
-      min_of_reps(reps, iters, log, config, candidates);
-
-  recorder.set_enabled(true);
   recorder.reset();
-  const double instrumented_ms =
-      min_of_reps(reps, iters, log, config, candidates);
+
+  const Timings timings =
+      min_of_alternating_reps(reps, iters, log, config, candidates, recorder);
+  const double baseline_ms = timings.off_ms;
+  const double instrumented_ms = timings.on_ms;
   const obs::DrainStats drained = recorder.drain();
   const std::uint64_t dropped = recorder.ring_dropped_total();
 

@@ -116,8 +116,8 @@ EvictionHarvest harvest_evictions(const logs::LogStore& log, std::size_t k,
   // Reward reconstruction: first access of the victim after the eviction
   // ("we reconstruct this information during step 1 by looking ahead in the
   // logs", §3). Evict records name the victim under "victim" while access
-  // records use "key", so the join is done here with the same
-  // index-then-binary-search scheme as logs::lookahead_join.
+  // records use "key": index the accesses by key, then binary-search each
+  // eviction's first strictly later access.
   // Per-key sorted access timestamps.
   std::unordered_map<std::string, std::vector<double>> access_times;
   for (const auto& rec : log.records()) {

@@ -1,26 +1,10 @@
 #include "core/feature_vector.h"
 
-#include <cmath>
-#include <stdexcept>
+#include <utility>
 
 #include "core/linalg.h"
 
 namespace harvest::core {
-
-FeatureSchema::FeatureSchema(std::vector<std::string> names)
-    : names_(std::move(names)) {}
-
-const std::string& FeatureSchema::name(std::size_t i) const {
-  if (i >= names_.size()) throw std::out_of_range("FeatureSchema::name");
-  return names_[i];
-}
-
-std::size_t FeatureSchema::index_of(const std::string& name) const {
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    if (names_[i] == name) return i;
-  }
-  throw std::out_of_range("FeatureSchema: no feature named " + name);
-}
 
 FeatureVector::FeatureVector(std::vector<double> values)
     : values_(std::move(values)) {}
@@ -38,10 +22,6 @@ FeatureVector FeatureVector::with_bias() const {
 
 double FeatureVector::dot(std::span<const double> weights) const {
   return core::dot(values_, weights);
-}
-
-double FeatureVector::norm() const {
-  return std::sqrt(core::dot(values_, values_));
 }
 
 }  // namespace harvest::core

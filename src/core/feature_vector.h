@@ -1,33 +1,14 @@
-// Dense feature vectors and their schema. Contexts scavenged from system logs
-// are feature-engineered into these before reaching the learners (step 1 of
-// the harvesting methodology).
+// Dense feature vectors. Contexts scavenged from system logs are
+// feature-engineered into these before reaching the learners (step 1 of the
+// harvesting methodology).
 #pragma once
 
 #include <cstddef>
 #include <initializer_list>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace harvest::core {
-
-/// Names and validates the feature layout shared by all contexts in a
-/// dataset. Feature 0 is conventionally a constant bias term added by
-/// `FeatureVector::with_bias`.
-class FeatureSchema {
- public:
-  FeatureSchema() = default;
-  explicit FeatureSchema(std::vector<std::string> names);
-
-  std::size_t size() const { return names_.size(); }
-  const std::string& name(std::size_t i) const;
-  /// Index of a named feature; throws std::out_of_range if absent.
-  std::size_t index_of(const std::string& name) const;
-  const std::vector<std::string>& names() const { return names_; }
-
- private:
-  std::vector<std::string> names_;
-};
 
 /// A dense real-valued context. Cheap to copy for the dimensionalities used
 /// here; the simulators construct millions of these per run.
@@ -46,9 +27,6 @@ class FeatureVector {
   FeatureVector with_bias() const;
 
   double dot(std::span<const double> weights) const;
-
-  /// L2 norm, used for normalization and tests.
-  double norm() const;
 
  private:
   std::vector<double> values_;

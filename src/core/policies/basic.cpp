@@ -1,7 +1,6 @@
 #include "core/policies/basic.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace harvest::core {
@@ -76,80 +75,6 @@ double EpsilonGreedyPolicy::probability(const FeatureVector& x,
 
 std::string EpsilonGreedyPolicy::name() const {
   return "eps-greedy(" + std::to_string(epsilon_) + ", " + base_->name() + ")";
-}
-
-SoftmaxPolicy::SoftmaxPolicy(std::size_t num_actions, Scorer scorer,
-                             double temperature, std::string name)
-    : Policy(num_actions),
-      scorer_(std::move(scorer)),
-      temperature_(temperature),
-      name_(std::move(name)) {
-  if (!scorer_) throw std::invalid_argument("SoftmaxPolicy: null scorer");
-  if (temperature <= 0) {
-    throw std::invalid_argument("SoftmaxPolicy: temperature > 0");
-  }
-}
-
-void SoftmaxPolicy::distribution_into(const FeatureVector& x,
-                                      std::span<double> out) const {
-  check_distribution_size(out);
-  for (std::size_t a = 0; a < num_actions(); ++a) {
-    out[a] = scorer_(x, static_cast<ActionId>(a)) / temperature_;
-  }
-  const double max_score = *std::max_element(out.begin(), out.end());
-  double total = 0;
-  for (double& s : out) {
-    s = std::exp(s - max_score);
-    total += s;
-  }
-  for (double& s : out) s /= total;
-}
-
-MixturePolicy::MixturePolicy(std::vector<PolicyPtr> components,
-                             std::vector<double> weights)
-    : Policy(components.empty() ? 0 : components.front()->num_actions()),
-      components_(std::move(components)),
-      weights_(std::move(weights)) {
-  if (components_.empty()) {
-    throw std::invalid_argument("MixturePolicy: no components");
-  }
-  if (weights_.size() != components_.size()) {
-    throw std::invalid_argument("MixturePolicy: weights size mismatch");
-  }
-  double total = 0;
-  for (const auto& c : components_) {
-    if (!c || c->num_actions() != num_actions()) {
-      throw std::invalid_argument("MixturePolicy: inconsistent components");
-    }
-  }
-  for (double w : weights_) {
-    if (w < 0) throw std::invalid_argument("MixturePolicy: negative weight");
-    total += w;
-  }
-  if (total <= 0) throw std::invalid_argument("MixturePolicy: zero weights");
-  for (double& w : weights_) w /= total;
-}
-
-void MixturePolicy::distribution_into(const FeatureVector& x,
-                                      std::span<double> out) const {
-  check_distribution_size(out);
-  std::fill(out.begin(), out.end(), 0.0);
-  std::vector<double> d(num_actions());
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    components_[i]->distribution_into(x, d);
-    for (std::size_t a = 0; a < out.size(); ++a) {
-      out[a] += weights_[i] * d[a];
-    }
-  }
-}
-
-std::string MixturePolicy::name() const {
-  std::string n = "mixture(";
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    if (i > 0) n += ", ";
-    n += components_[i]->name();
-  }
-  return n + ")";
 }
 
 FunctionPolicy::FunctionPolicy(std::size_t num_actions, Chooser chooser,

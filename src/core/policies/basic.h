@@ -1,6 +1,6 @@
-// Basic policies: constants, uniform randomization, epsilon-greedy and
-// softmax wrappers, and finite mixtures. These model both the production
-// heuristics whose randomness we harvest and the exploration wrappers used
+// Basic policies: constants, uniform randomization, the epsilon-greedy
+// wrapper, and function adapters. These model both the production
+// heuristics whose randomness we harvest and the exploration wrapper used
 // when simulating partial feedback.
 #pragma once
 
@@ -52,42 +52,6 @@ class EpsilonGreedyPolicy final : public Policy {
  private:
   PolicyPtr base_;
   double epsilon_;
-};
-
-/// Scores each action with a caller-provided function and plays the softmax
-/// distribution at the given temperature. Temperature -> 0 approaches greedy,
-/// large temperature approaches uniform.
-class SoftmaxPolicy final : public Policy {
- public:
-  using Scorer = std::function<double(const FeatureVector&, ActionId)>;
-
-  SoftmaxPolicy(std::size_t num_actions, Scorer scorer, double temperature,
-                std::string name = "softmax");
-
-  void distribution_into(const FeatureVector& x,
-                         std::span<double> out) const override;
-  std::string name() const override { return name_; }
-
- private:
-  Scorer scorer_;
-  double temperature_;
-  std::string name_;
-};
-
-/// Plays policy i with fixed probability w_i (a randomized A/B split seen
-/// as one logging policy).
-class MixturePolicy final : public Policy {
- public:
-  MixturePolicy(std::vector<PolicyPtr> components,
-                std::vector<double> weights);
-
-  void distribution_into(const FeatureVector& x,
-                         std::span<double> out) const override;
-  std::string name() const override;
-
- private:
-  std::vector<PolicyPtr> components_;
-  std::vector<double> weights_;  // normalized
 };
 
 /// Adapts an arbitrary deterministic function to a policy; handy in tests

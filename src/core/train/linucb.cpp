@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/policies/greedy.h"
-#include "par/parallel.h"
 
 namespace harvest::core {
 
@@ -71,64 +70,6 @@ void LinUcbTrainer::learn(const FeatureVector& x, ActionId a, double reward) {
   arms_[a].a.add_outer(xb.values(), 1.0);
   for (std::size_t d = 0; d < dim_with_bias_; ++d) {
     arms_[a].b[d] += reward * xb[d];
-  }
-}
-
-void LinUcbTrainer::learn_batch(const std::vector<ExplorationPoint>& batch) {
-  if (batch.empty()) return;
-  const std::size_t num_arms = arms_.size();
-  // Per-shard partial design-matrix sums (no ridge prior — that already
-  // lives in arms_), merged in shard order below.
-  struct Partials {
-    std::vector<Matrix> a;
-    std::vector<std::vector<double>> b;
-  };
-  auto zero_partials = [&] {
-    Partials p;
-    p.a.assign(num_arms, Matrix(dim_with_bias_, dim_with_bias_));
-    p.b.assign(num_arms, std::vector<double>(dim_with_bias_, 0.0));
-    return p;
-  };
-  Partials totals = par::parallel_reduce(
-      par::default_pool(), par::ShardPlan::fixed(batch.size()),
-      zero_partials(),
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        Partials p = zero_partials();
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto& pt = batch[i];
-          if (pt.action >= num_arms) {
-            throw std::out_of_range("LinUcbTrainer::learn_batch: bad action");
-          }
-          const FeatureVector xb = pt.context.with_bias();
-          if (xb.size() != dim_with_bias_) {
-            throw std::invalid_argument(
-                "LinUcbTrainer::learn_batch: bad dimension");
-          }
-          p.a[pt.action].add_outer(xb.values(), 1.0);
-          for (std::size_t d = 0; d < dim_with_bias_; ++d) {
-            p.b[pt.action][d] += pt.reward * xb[d];
-          }
-        }
-        return p;
-      },
-      [&](Partials acc, const Partials& p) {
-        for (std::size_t arm = 0; arm < num_arms; ++arm) {
-          for (std::size_t i = 0; i < dim_with_bias_; ++i) {
-            for (std::size_t j = 0; j < dim_with_bias_; ++j) {
-              acc.a[arm].at(i, j) += p.a[arm].at(i, j);
-            }
-            acc.b[arm][i] += p.b[arm][i];
-          }
-        }
-        return acc;
-      });
-  for (std::size_t arm = 0; arm < num_arms; ++arm) {
-    for (std::size_t i = 0; i < dim_with_bias_; ++i) {
-      for (std::size_t j = 0; j < dim_with_bias_; ++j) {
-        arms_[arm].a.at(i, j) += totals.a[arm].at(i, j);
-      }
-      arms_[arm].b[i] += totals.b[arm][i];
-    }
   }
 }
 

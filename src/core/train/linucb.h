@@ -34,14 +34,6 @@ class LinUcbTrainer {
   /// Updates the chosen arm's statistics with the observed reward.
   void learn(const FeatureVector& x, ActionId a, double reward);
 
-  /// Mini-batch variant: folds a whole batch of logged (x, a, r) points into
-  /// the arm design matrices. The rank-one updates accumulate in per-shard
-  /// partial sums that merge in shard order, so the resulting A_a / b_a —
-  /// and every downstream snapshot — are identical for any --threads value
-  /// (though the FP association differs from an equivalent sequence of
-  /// learn() calls by last-ulp rounding).
-  void learn_batch(const std::vector<ExplorationPoint>& batch);
-
   /// Current greedy (no-bonus) estimate for inspection/tests.
   double predict(const FeatureVector& x, ActionId a) const;
 

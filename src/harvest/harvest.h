@@ -26,7 +26,6 @@
 
 // Log scavenging (§3, step 1).
 #include "logs/log_store.h"
-#include "logs/lookahead.h"
 #include "logs/scavenger.h"
 
 // Deterministic fault injection for chaos-testing the ingest path.

@@ -62,7 +62,7 @@ double latency_to_reward(double latency, double cap);
 double reward_to_latency(double reward, double cap);
 
 /// Runs one deployment of `router` under `config`. The router is mutated
-/// (round-robin counters, epoch weights), so pass a fresh one per run.
+/// (epoch weights), so pass a fresh one per run.
 LbResult run_lb(const LbConfig& config, Router& router, util::Rng& rng);
 
 /// The two-server Fig. 5 configuration used throughout Table 2 benches:

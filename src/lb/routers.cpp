@@ -27,24 +27,6 @@ std::vector<double> RandomRouter::distribution(
                              1.0 / static_cast<double>(num_servers()));
 }
 
-RoundRobinRouter::RoundRobinRouter(std::size_t num_servers)
-    : Router(num_servers) {
-  check_servers(num_servers);
-}
-
-std::size_t RoundRobinRouter::route(const RoutingContext& /*ctx*/,
-                                    util::Rng& /*rng*/) {
-  const std::size_t s = next_;
-  next_ = (next_ + 1) % num_servers();
-  return s;
-}
-
-std::vector<double> RoundRobinRouter::distribution(
-    const RoutingContext& /*ctx*/) const {
-  return std::vector<double>(num_servers(),
-                             1.0 / static_cast<double>(num_servers()));
-}
-
 LeastLoadedRouter::LeastLoadedRouter(std::size_t num_servers)
     : Router(num_servers) {
   check_servers(num_servers);
@@ -88,28 +70,6 @@ std::vector<double> SendToRouter::distribution(
 
 std::string SendToRouter::name() const {
   return "send-to-" + std::to_string(target_ + 1);
-}
-
-WeightedRandomRouter::WeightedRandomRouter(std::vector<double> weights)
-    : Router(weights.size()), weights_(std::move(weights)) {
-  check_servers(weights_.size());
-  double total = 0;
-  for (double w : weights_) {
-    if (w < 0) throw std::invalid_argument("WeightedRandomRouter: w < 0");
-    total += w;
-  }
-  if (total <= 0) throw std::invalid_argument("WeightedRandomRouter: sum 0");
-  for (double& w : weights_) w /= total;
-}
-
-std::size_t WeightedRandomRouter::route(const RoutingContext& /*ctx*/,
-                                        util::Rng& rng) {
-  return rng.categorical(weights_);
-}
-
-std::vector<double> WeightedRandomRouter::distribution(
-    const RoutingContext& /*ctx*/) const {
-  return weights_;
 }
 
 EpochWeightedRandomRouter::EpochWeightedRandomRouter(std::size_t num_servers,

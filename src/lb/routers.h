@@ -18,23 +18,6 @@ class RandomRouter final : public Router {
   std::string name() const override { return "random"; }
 };
 
-/// Classic round-robin. Deterministic given its internal counter, but the
-/// counter is independent of the context, so its decisions are *also*
-/// harvestable as randomized ("hash-based policies can be viewed as random
-/// if the context does not include the hash inputs", §2).
-class RoundRobinRouter final : public Router {
- public:
-  explicit RoundRobinRouter(std::size_t num_servers);
-
-  std::size_t route(const RoutingContext& ctx, util::Rng& rng) override;
-  /// Marginal distribution over a full rotation: uniform.
-  std::vector<double> distribution(const RoutingContext& ctx) const override;
-  std::string name() const override { return "round-robin"; }
-
- private:
-  std::size_t next_ = 0;
-};
-
 /// Sends each request to the backend with the fewest open connections
 /// (Nginx `least_conn`). Ties break to the lowest index.
 class LeastLoadedRouter final : public Router {
@@ -58,19 +41,6 @@ class SendToRouter final : public Router {
 
  private:
   std::size_t target_;
-};
-
-/// Random routing with fixed (non-uniform) weights — Nginx `weight=`.
-class WeightedRandomRouter final : public Router {
- public:
-  WeightedRandomRouter(std::vector<double> weights);
-
-  std::size_t route(const RoutingContext& ctx, util::Rng& rng) override;
-  std::vector<double> distribution(const RoutingContext& ctx) const override;
-  std::string name() const override { return "weighted-random"; }
-
- private:
-  std::vector<double> weights_;  // normalized
 };
 
 /// §5's richer-exploration proposal: instead of randomizing every request,

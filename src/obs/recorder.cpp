@@ -99,7 +99,6 @@ Recorder::Recorder(Options options)
 }
 
 Recorder::~Recorder() {
-  stop_collector();
   // Invalidate every thread's cached ring pointers into this recorder.
   g_recorder_generation.fetch_add(1, std::memory_order_release);
 }
@@ -300,46 +299,6 @@ DrainStats Recorder::drain() {
   stats.ring_dropped = ring_dropped_total();
   stats.trace_evicted = trace_evicted_total();
   return stats;
-}
-
-void Recorder::start_collector(std::chrono::milliseconds period) {
-  std::lock_guard<std::mutex> lock(collector_mu_);
-  if (collector_.joinable()) return;
-  collector_stop_ = false;
-  collector_ = std::thread([this, period] { collector_loop(period); });
-}
-
-void Recorder::stop_collector() {
-  {
-    std::lock_guard<std::mutex> lock(collector_mu_);
-    if (!collector_.joinable()) return;
-    collector_stop_ = true;
-  }
-  collector_cv_.notify_all();
-  collector_.join();
-  {
-    std::lock_guard<std::mutex> lock(collector_mu_);
-    collector_ = std::thread();
-    collector_stop_ = false;
-  }
-  drain();  // pick up anything emitted during shutdown
-}
-
-bool Recorder::collector_running() const {
-  std::lock_guard<std::mutex> lock(collector_mu_);
-  return collector_.joinable();
-}
-
-void Recorder::collector_loop(std::chrono::milliseconds period) {
-  std::unique_lock<std::mutex> lock(collector_mu_);
-  for (;;) {
-    collector_cv_.wait_for(lock, period,
-                           [this] { return collector_stop_; });
-    if (collector_stop_) return;
-    lock.unlock();
-    drain();
-    lock.lock();
-  }
 }
 
 std::vector<Event> Recorder::snapshot_events() {

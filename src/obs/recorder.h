@@ -8,7 +8,7 @@
 // decisions/sec/core). Coarse pipeline stages record ScopedSpans into it.
 //
 // Architecture:
-//   producers (any thread)          collector (on demand / background)
+//   producers (any thread)          collector (on demand)
 //   ┌────────────────────┐
 //   │ thread-local SPSC  │  drain   ┌─────────────────────────────┐
 //   │ ring of fixed-size │ ───────> │ bounded in-memory trace ring │
@@ -23,8 +23,7 @@
 //  - With `self_drain` on (the default), a producer whose ring crosses the
 //    high-water mark drains *its own* ring into the trace (amortized, off
 //    the per-event path), so default configurations record drop-free without
-//    a background thread. A background collector is also available
-//    (start_collector) for long-running servers.
+//    a background thread.
 //  - Timestamps come from one monotonic clock with one process-wide epoch
 //    (steady_clock), so events from different threads order correctly and
 //    cross-thread causality is reconstructible from the merged trace.
@@ -38,7 +37,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
@@ -67,7 +65,7 @@ enum class EventKind : std::uint8_t {
 
 /// One fixed-size (40-byte) telemetry event. `a`/`b` are kind-specific
 /// payloads: span id / parent id for kScopeSpan, free-form arguments for
-/// kSpan/kInstant (e.g. shard index, stolen flag), and the f64 bit pattern
+/// kSpan/kInstant (e.g. shard index, block count), and the f64 bit pattern
 /// of the sampled value for kCounter.
 struct Event {
   std::uint64_t ts_ns = 0;   ///< start time, ns since the recorder epoch
@@ -107,9 +105,9 @@ class Recorder {
 
   Recorder();
   explicit Recorder(Options options);
-  /// Joins the background collector (if running) and takes no further
-  /// events. Threads must not emit into a recorder being destroyed; the
-  /// process-wide instance is leaked so this never constrains hot paths.
+  /// Takes no further events. Threads must not emit into a recorder being
+  /// destroyed; the process-wide instance is leaked so this never
+  /// constrains hot paths.
   ~Recorder();
 
   Recorder(const Recorder&) = delete;
@@ -152,11 +150,6 @@ class Recorder {
   /// Drains every thread ring into the bounded trace (and the registry,
   /// when configured). Safe to call concurrently with producers.
   DrainStats drain();
-  /// Starts a background collector draining every `period`. Idempotent.
-  void start_collector(std::chrono::milliseconds period);
-  /// Stops the background collector (final drain included). Idempotent.
-  void stop_collector();
-  bool collector_running() const;
 
   /// Drains, then returns the bounded trace oldest-first (insertion order:
   /// per-thread completion order, interleaved by drain batch — sort by
@@ -219,7 +212,6 @@ class Recorder {
   /// Appends drained events to the bounded trace and aggregates them into
   /// the registry. `stats` gets the collected count.
   void absorb(const std::vector<Event>& batch, std::size_t* collected);
-  void collector_loop(std::chrono::milliseconds period);
 
   Options options_;
   std::size_t ring_capacity_ = 0;  ///< rounded to a power of two
@@ -241,11 +233,6 @@ class Recorder {
   bool trace_full_ = false;
   std::atomic<std::uint64_t> trace_evicted_{0};
   std::uint64_t dropped_aggregated_ = 0;  // guarded by trace_mu_
-
-  mutable std::mutex collector_mu_;
-  std::thread collector_;
-  std::condition_variable collector_cv_;
-  bool collector_stop_ = false;  // guarded by collector_mu_
 };
 
 /// RAII recorder-native span: captures the clock on construction and emits

@@ -1,6 +1,6 @@
 // Umbrella header for the deterministic parallel execution subsystem.
 //
-// Threading model in one paragraph: a fixed-size work-stealing ThreadPool
+// Threading model in one paragraph: a fixed-size one-queue ThreadPool
 // executes statically-planned shards (ShardPlan) whose layout is independent
 // of the thread count; per-shard randomness comes from ShardedRng streams
 // keyed by shard index; per-shard accumulators merge in shard order. The

@@ -63,13 +63,6 @@ void parallel_for(ThreadPool* pool, const ShardPlan& plan,
                                            std::size_t begin,
                                            std::size_t end)>& fn);
 
-/// Convenience: parallel_for over [0, n) with the default record plan.
-inline void parallel_for_n(
-    ThreadPool* pool, std::size_t n,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  parallel_for(pool, ShardPlan::fixed(n), fn);
-}
-
 /// Deterministic map-reduce: shard_fn produces one accumulator per shard
 /// (executed in parallel), merge folds them IN SHARD ORDER on the calling
 /// thread: acc = merge(move(acc), shard_acc[s]) for s = 0..num_shards-1.

@@ -1,6 +1,6 @@
 #include "par/thread_pool.h"
 
-#include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -10,20 +10,14 @@
 namespace harvest::par {
 
 namespace {
-// Worker identity for on_worker_thread() and own-queue submission. A thread
-// belongs to at most one pool for its lifetime, so plain thread_locals are
-// enough.
-thread_local ThreadPool* tls_pool = nullptr;
-thread_local std::size_t tls_worker_index = 0;
+// Worker identity for on_worker_thread(). A thread belongs to at most one
+// pool for its lifetime, so a plain thread_local is enough.
+thread_local bool tls_on_worker = false;
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
     throw std::invalid_argument("ThreadPool: num_threads must be >= 1");
-  }
-  queues_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
   }
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
@@ -33,178 +27,58 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(cv_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-bool ThreadPool::on_worker_thread() { return tls_pool != nullptr; }
+bool ThreadPool::on_worker_thread() { return tls_on_worker; }
 
 std::size_t ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(cv_mu_);
-  return pending_;
+  std::lock_guard<std::mutex> lock(mu_);
+  return queue_.size();
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  std::size_t target;
-  if (tls_pool == this) {
-    target = tls_worker_index;
-  } else {
-    std::lock_guard<std::mutex> lock(cv_mu_);
-    target = next_queue_;
-    next_queue_ = (next_queue_ + 1) % queues_.size();
-  }
   {
-    std::lock_guard<std::mutex> lock(queues_[target]->mu);
-    queues_[target]->tasks.push_back(std::move(task));
-  }
-  {
-    std::lock_guard<std::mutex> lock(cv_mu_);
-    ++pending_;
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(task));
   }
   cv_.notify_one();
 }
 
-bool ThreadPool::pop_or_steal(std::size_t self, std::function<void()>& out,
-                              bool& stolen, std::size_t& victim) {
-  // Own queue: newest first (LIFO) — best locality for forked subtasks.
-  {
-    WorkerQueue& q = *queues_[self];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (!q.tasks.empty()) {
-      out = std::move(q.tasks.back());
-      q.tasks.pop_back();
-      stolen = false;
-      victim = self;
-      return true;
-    }
-  }
-  // Steal: oldest first (FIFO) from the other queues.
-  for (std::size_t k = 1; k < queues_.size(); ++k) {
-    const std::size_t v = (self + k) % queues_.size();
-    WorkerQueue& q = *queues_[v];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (!q.tasks.empty()) {
-      out = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      stolen = true;
-      victim = v;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ThreadPool::try_run_one() {
-  const std::size_t self = tls_pool == this ? tls_worker_index : 0;
-  std::function<void()> task;
-  bool stolen = false;
-  std::size_t victim = 0;
-  if (!pop_or_steal(self, task, stolen, victim)) return false;
-  {
-    std::lock_guard<std::mutex> lock(cv_mu_);
-    --pending_;
-  }
-  {
-    obs::Recorder& rec = obs::Recorder::global();
-    static const std::uint32_t kTaskName = rec.intern("par.task");
-    obs::RecSpan span(rec, kTaskName, stolen ? 1 : 0, victim);
-    task();
-  }
-  return true;
-}
-
 void ThreadPool::worker_loop(std::size_t index) {
-  tls_pool = this;
-  tls_worker_index = index;
+  tls_on_worker = true;
   obs::Recorder& rec = obs::Recorder::global();
   rec.set_thread_name("pool.worker-" + std::to_string(index));
+  static const std::uint32_t kTaskName = rec.intern("par.task");
   static const std::uint32_t kParkName = rec.intern("par.park");
   for (;;) {
-    if (try_run_one()) continue;
-    std::unique_lock<std::mutex> lock(cv_mu_);
-    if (pending_ > 0) continue;  // raced with a submit; rescan
-    if (stop_) break;            // drained: safe to exit
-    const std::uint64_t park_start = rec.now_ns();
-    cv_.wait(lock);
-    if (rec.enabled()) {
+    std::function<void()> task;
+    bool have_task = false;
+    std::uint64_t park_start = 0;
+    bool parked = false;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (queue_.empty() && !stop_) {
+        park_start = rec.now_ns();
+        parked = true;
+        cv_.wait(lock, [this] { return !queue_.empty() || stop_; });
+      }
+      if (!queue_.empty()) {
+        task = std::move(queue_.front());
+        queue_.pop_front();
+        have_task = true;
+      }
+    }
+    if (parked && rec.enabled()) {
       rec.emit_span(kParkName, park_start, rec.now_ns() - park_start);
     }
-  }
-  tls_pool = nullptr;
-}
-
-// ---------------------------------------------------------------------------
-// TaskGroup
-// ---------------------------------------------------------------------------
-
-TaskGroup::TaskGroup(ThreadPool* pool)
-    : pool_(ThreadPool::on_worker_thread() ? nullptr : pool),
-      state_(std::make_shared<State>()) {}
-
-TaskGroup::~TaskGroup() {
-  if (!waited_) {
-    try {
-      wait();
-    } catch (...) {
-      // Destructor must not throw; callers who care call wait() themselves.
-    }
-  }
-}
-
-void TaskGroup::run(std::function<void()> fn) {
-  if (pool_ == nullptr) {
-    // Inline execution; still defer the exception to wait() so behavior is
-    // independent of whether a pool is configured.
-    try {
-      fn();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      if (!state_->error) state_->error = std::current_exception();
-    }
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    ++state_->outstanding;
-  }
-  std::shared_ptr<State> state = state_;
-  pool_->submit([state, fn = std::move(fn)] {
-    try {
-      fn();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (!state->error) state->error = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(state->mu);
-    if (--state->outstanding == 0) state->cv.notify_all();
-  });
-}
-
-void TaskGroup::wait() {
-  waited_ = true;
-  if (pool_ != nullptr) {
-    // Help drain the pool instead of parking immediately: our own tasks may
-    // be queued behind unrelated work.
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(state_->mu);
-        if (state_->outstanding == 0) break;
-      }
-      if (!pool_->try_run_one()) {
-        std::unique_lock<std::mutex> lock(state_->mu);
-        if (state_->outstanding == 0) break;
-        state_->cv.wait_for(lock, std::chrono::milliseconds(1));
-      }
-    }
-  }
-  std::lock_guard<std::mutex> lock(state_->mu);
-  if (state_->error) {
-    std::exception_ptr e = state_->error;
-    state_->error = nullptr;
-    std::rethrow_exception(e);
+    if (!have_task) break;  // stopping and drained: safe to exit
+    obs::RecSpan span(rec, kTaskName);
+    task();
   }
 }
 
@@ -228,10 +102,5 @@ void set_default_threads(std::size_t total_threads) {
 }
 
 ThreadPool* default_pool() { return default_pool_slot().get(); }
-
-std::size_t default_threads() {
-  ThreadPool* pool = default_pool();
-  return pool == nullptr ? 1 : pool->num_threads() + 1;
-}
 
 }  // namespace harvest::par

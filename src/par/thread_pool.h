@@ -1,31 +1,27 @@
-// Fixed-size work-stealing thread pool — the execution substrate for the
-// deterministic parallel layer (par/parallel.h). std::thread + mutexes +
-// one condition variable only; no external dependencies.
+// Fixed-size thread pool — the execution substrate for the deterministic
+// parallel layer (par/parallel.h). One FIFO queue under one mutex and one
+// condition variable; std::thread only, no external dependencies.
 //
 // Design notes:
-//  - Each worker owns a deque. A worker pops its own queue LIFO (cache-warm)
-//    and steals from other queues FIFO (oldest task first), which keeps
-//    sibling subtrees of a fork roughly in submission order.
-//  - Submissions from outside the pool round-robin across worker queues;
-//    submissions from a worker thread go to that worker's own queue.
+//  - parallel_for is the pool's submitter, and it balances load itself: it
+//    submits identical helper tasks that claim shards from one atomic
+//    cursor. One shared queue is all the scheduling the pool needs.
 //  - The pool NEVER influences results: everything scheduled through
 //    par::parallel_for / parallel_reduce writes to pre-assigned shard slots
 //    and merges in shard order, so outputs are bit-identical no matter how
 //    many threads execute the shards (see parallel.h).
-//  - ~ThreadPool drains: all tasks submitted before destruction run to
-//    completion before the workers join.
+//  - ~ThreadPool drains: a worker exits only once the queue is empty, so
+//    every task submitted before destruction runs to completion.
 //
-// Exception contract: tasks submitted through bare submit() must not throw
-// (an escaping exception terminates, as with std::thread). Use TaskGroup or
-// parallel_for, which capture the first exception and rethrow it on the
-// waiting thread.
+// Exception contract: a submitted task must not throw (an escaping
+// exception terminates, as with std::thread). parallel_for captures the
+// first exception a shard threw and rethrows it on the calling thread.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -45,75 +41,27 @@ class ThreadPool {
 
   std::size_t num_threads() const { return workers_.size(); }
 
-  /// Enqueues a task. Safe to call from worker threads (nested submit).
+  /// Appends a task to the queue and wakes one worker. Safe to call from
+  /// any thread, workers included.
   void submit(std::function<void()> task);
-
-  /// Runs one queued task on the calling thread if any is available.
-  /// Returns false when every queue is empty. Used by waiting threads to
-  /// help instead of blocking (work-helping join).
-  bool try_run_one();
 
   /// True when the calling thread is a worker of *any* ThreadPool. Parallel
   /// constructs use this to run nested parallelism inline instead of
   /// re-entering the pool (prevents deadlock and queue blow-up).
   static bool on_worker_thread();
 
-  /// Tasks submitted but not yet started (approximate; for the
-  /// par_queue_depth gauge).
+  /// Tasks submitted but not yet started (for the par_queue_depth gauge).
   std::size_t pending() const;
 
  private:
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
   void worker_loop(std::size_t index);
-  /// Pops from `self`'s queue (LIFO) or steals FIFO from another queue.
-  /// On success, `stolen`/`victim` report where the task came from (for the
-  /// flight recorder's steal-balance accounting).
-  bool pop_or_steal(std::size_t self, std::function<void()>& out,
-                    bool& stolen, std::size_t& victim);
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-
-  mutable std::mutex cv_mu_;
+  mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::size_t pending_ = 0;  // guarded by cv_mu_
-  bool stop_ = false;        // guarded by cv_mu_
-  std::size_t next_queue_ = 0;  // round-robin cursor, guarded by cv_mu_
-};
+  std::deque<std::function<void()>> queue_;  // guarded by mu_
+  bool stop_ = false;                        // guarded by mu_
 
-/// Collects dynamically-submitted tasks and waits for all of them,
-/// rethrowing the first captured exception. When constructed with a null
-/// pool — or on a worker thread — tasks run inline at run() (exceptions are
-/// still deferred to wait(), so control flow is pool-independent).
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool* pool);
-  ~TaskGroup();  // waits (exceptions swallowed if wait() was not called)
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  void run(std::function<void()> fn);
-
-  /// Blocks until every run() task finished; helps execute pool tasks while
-  /// waiting. Rethrows the first exception thrown by a task.
-  void wait();
-
- private:
-  struct State {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t outstanding = 0;
-    std::exception_ptr error;
-  };
-
-  ThreadPool* pool_;
-  std::shared_ptr<State> state_;
-  bool waited_ = false;
+  std::vector<std::thread> workers_;  // last: the workers use the above
 };
 
 // ---------------------------------------------------------------------------
@@ -132,8 +80,5 @@ void set_default_threads(std::size_t total_threads);
 
 /// The configured pool, or nullptr when running sequentially.
 ThreadPool* default_pool();
-
-/// Total configured concurrency (pool workers + caller); 1 when no pool.
-std::size_t default_threads();
 
 }  // namespace harvest::par

@@ -70,25 +70,6 @@ Decision Decider::decide(std::span<const double> context) {
   return d;
 }
 
-void Decider::decide_batch(std::span<const double> contexts,
-                           std::span<Decision> out) {
-  const std::size_t dim = service_->options().dim;
-  if (contexts.size() != out.size() * dim) {
-    throw std::invalid_argument(
-        "Decider::decide_batch: contexts size != out size * dim");
-  }
-  if (out.empty()) return;
-  // One hazard handshake for the whole batch: the publisher cannot reclaim
-  // `snap` until release(), so every decision in the batch answers from the
-  // same snapshot (records carry one snapshot_id even if a publish lands
-  // mid-batch).
-  const PolicySnapshot* snap = acquire();
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = decide_on(snap, contexts.subspan(i * dim, dim));
-  }
-  release();
-}
-
 Decision Decider::decide_on(const PolicySnapshot* snap,
                             std::span<const double> context) {
   if (staged_valid_) {

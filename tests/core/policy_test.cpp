@@ -69,40 +69,6 @@ TEST(EpsilonGreedyPolicyTest, Validation) {
   EXPECT_THROW(EpsilonGreedyPolicy(base, 1.5), std::invalid_argument);
 }
 
-TEST(SoftmaxPolicyTest, HigherScoreMoreProbable) {
-  const SoftmaxPolicy policy(
-      3, [](const FeatureVector&, ActionId a) { return static_cast<double>(a); },
-      1.0);
-  const auto d = policy.distribution(FeatureVector{0.0});
-  EXPECT_DOUBLE_EQ(dist_sum(d), 1.0);
-  EXPECT_LT(d[0], d[1]);
-  EXPECT_LT(d[1], d[2]);
-}
-
-TEST(SoftmaxPolicyTest, LowTemperatureApproachesGreedy) {
-  const SoftmaxPolicy policy(
-      2, [](const FeatureVector&, ActionId a) { return a == 1 ? 1.0 : 0.0; },
-      0.01);
-  const auto d = policy.distribution(FeatureVector{0.0});
-  EXPECT_GT(d[1], 0.999);
-}
-
-TEST(MixturePolicyTest, WeightsCombineComponents) {
-  auto a = std::make_shared<ConstantPolicy>(2, 0);
-  auto b = std::make_shared<ConstantPolicy>(2, 1);
-  const MixturePolicy mix({a, b}, {3.0, 1.0});
-  const auto d = mix.distribution(FeatureVector{0.0});
-  EXPECT_NEAR(d[0], 0.75, 1e-12);
-  EXPECT_NEAR(d[1], 0.25, 1e-12);
-}
-
-TEST(MixturePolicyTest, Validation) {
-  auto a = std::make_shared<ConstantPolicy>(2, 0);
-  EXPECT_THROW(MixturePolicy({}, {}), std::invalid_argument);
-  EXPECT_THROW(MixturePolicy({a}, {1.0, 2.0}), std::invalid_argument);
-  EXPECT_THROW(MixturePolicy({a}, {0.0}), std::invalid_argument);
-}
-
 TEST(FunctionPolicyTest, DelegatesToChooser) {
   const FunctionPolicy policy(
       2, [](const FeatureVector& x) { return x[0] > 0 ? 1u : 0u; }, "test");

@@ -52,7 +52,7 @@ TEST_P(LbRouterInvariants, ConservationAndValidExploration) {
 
 TEST_P(LbRouterInvariants, LoggedPropensitiesMatchBehaviourForRandomized) {
   const std::string kind = GetParam();
-  if (kind != "random" && kind != "weighted") {
+  if (kind != "random") {
     GTEST_SKIP() << "propensity/frequency identity only for stationary "
                     "context-free randomized routers";
   }
@@ -80,9 +80,8 @@ TEST_P(LbRouterInvariants, LoggedPropensitiesMatchBehaviourForRandomized) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRouters, LbRouterInvariants,
-                         ::testing::Values("random", "round-robin",
-                                           "least-loaded", "send-to-1",
-                                           "weighted", "epoch", "cb"));
+                         ::testing::Values("random", "least-loaded",
+                                           "send-to-1", "epoch", "cb"));
 
 }  // namespace
 }  // namespace harvest::lb

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "logs/log_store.h"
-#include "logs/lookahead.h"
 #include "logs/record.h"
 #include "logs/scavenger.h"
 
@@ -255,64 +254,6 @@ TEST(ScavengerTest, ValidatesSpec) {
   spec = basic_spec();
   spec.reward_transform = nullptr;
   EXPECT_THROW(scavenge(log, spec), std::invalid_argument);
-}
-
-LogStore lookahead_log() {
-  LogStore log;
-  auto add = [&log](double t, const std::string& event, const std::string& k) {
-    Record rec;
-    rec.time = t;
-    rec.event = event;
-    rec.set("key", k);
-    log.append(rec);
-  };
-  add(1.0, "evict", "a");
-  add(2.0, "access", "b");
-  add(3.0, "access", "a");   // a's next access: delay 2
-  add(4.0, "evict", "b");
-  add(5.0, "evict", "c");    // c never accessed again
-  add(9.0, "access", "b");   // b's next access: delay 5
-  return log;
-}
-
-TEST(LookaheadTest, JoinsFirstFutureAccess) {
-  const auto matches = lookahead_join(lookahead_log(), "evict", "access",
-                                      "key", 100.0);
-  ASSERT_EQ(matches.size(), 3u);
-  ASSERT_TRUE(matches[0].delay.has_value());
-  EXPECT_DOUBLE_EQ(*matches[0].delay, 2.0);
-  ASSERT_TRUE(matches[1].delay.has_value());
-  EXPECT_DOUBLE_EQ(*matches[1].delay, 5.0);
-  EXPECT_FALSE(matches[2].delay.has_value());
-}
-
-TEST(LookaheadTest, HorizonCensorsDistantMatches) {
-  const auto matches =
-      lookahead_join(lookahead_log(), "evict", "access", "key", 3.0);
-  EXPECT_TRUE(matches[0].delay.has_value());   // delay 2 <= 3
-  EXPECT_FALSE(matches[1].delay.has_value());  // delay 5 > 3
-}
-
-TEST(LookaheadTest, StrictlyLaterOnly) {
-  LogStore log;
-  Record evict;
-  evict.time = 1.0;
-  evict.event = "evict";
-  evict.set("key", "x");
-  Record access;
-  access.time = 1.0;  // same timestamp: not "later"
-  access.event = "access";
-  access.set("key", "x");
-  log.append(access);
-  log.append(evict);
-  const auto matches = lookahead_join(log, "evict", "access", "key", 10.0);
-  ASSERT_EQ(matches.size(), 1u);
-  EXPECT_FALSE(matches[0].delay.has_value());
-}
-
-TEST(LookaheadTest, RejectsBadHorizon) {
-  EXPECT_THROW(lookahead_join(LogStore{}, "a", "b", "k", 0.0),
-               std::invalid_argument);
 }
 
 }  // namespace

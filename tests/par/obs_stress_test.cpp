@@ -87,15 +87,13 @@ TEST(ObsStress, PoolWorkersRecordingMetricsConserve) {
   Registry registry;
   {
     par::ThreadPool pool(8);
-    par::TaskGroup group(&pool);
     for (std::size_t i = 0; i < 4000; ++i) {
-      group.run([&registry] {
+      pool.submit([&registry] {
         registry.counter("pool_tasks_done").add(1);
         registry.histogram("pool_task_val").observe(1.0);
       });
     }
-    group.wait();
-  }
+  }  // ~ThreadPool drains every submitted task
   EXPECT_DOUBLE_EQ(registry.counter("pool_tasks_done").value(), 4000.0);
   EXPECT_EQ(registry.histogram("pool_task_val").count(), 4000u);
 }

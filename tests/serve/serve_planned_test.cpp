@@ -1,12 +1,10 @@
 // Tests of the planned snapshot kind (the serving side of design/ logging
-// plans) and of the batched decide path:
+// plans):
 //  - decide() under a plan draws from the stratum's row with the row's
 //    probability as the logged propensity, bit-exact;
 //  - planned snapshots serialize under their own magic, round-trip
 //    bit-identically, and reject malformed bytes — while eps-greedy bytes
-//    are unchanged from v1;
-//  - decide_batch() produces a record stream and rng state bit-identical
-//    to the equivalent sequence of decide() calls.
+//    are unchanged from v1.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -157,119 +155,6 @@ TEST(PlannedSnapshotTest, ConstructorValidatesPlanRows) {
                std::invalid_argument);
   // A rejected plan leaves no snapshot counted as alive.
   EXPECT_EQ(PolicySnapshot::alive_count(), alive);
-}
-
-// ---- decide_batch ---------------------------------------------------------
-
-std::vector<double> drain_signature(DecisionService& service) {
-  std::vector<double> sig;
-  service.drain([&sig](const DecisionRecord& rec) {
-    sig.push_back(static_cast<double>(rec.action));
-    sig.push_back(rec.propensity);
-    // NaN rewards (flushed-unlabeled) normalize to one bit pattern for
-    // comparison; real rewards compare exactly.
-    sig.push_back(std::isnan(rec.reward) ? -1234.5 : rec.reward);
-    sig.push_back(static_cast<double>(rec.snapshot_id));
-    for (std::uint32_t d = 0; d < rec.dim; ++d) sig.push_back(rec.context[d]);
-  });
-  return sig;
-}
-
-TEST(DecideBatchTest, RecordsBitIdenticalToSequentialDecides) {
-  // Two identically seeded services over the same context stream: one
-  // decides one by one, the other in uneven batches. Decisions, logged
-  // records, counters, and the decider rng stream must match exactly.
-  const auto make_service = [] {
-    return std::make_unique<DecisionService>(
-        DecisionService::Options{.num_actions = kActions, .dim = kDim,
-                                 .log_capacity = 1 << 12, .seed = 777},
-        PolicySnapshot::from_weights(
-            1,
-            {{0.1, 1.0, 0.0}, {0.5, 0.0, 0.0}, {0.9, -1.0, 0.0}}, 0.25));
-  };
-  auto seq_service = make_service();
-  auto batch_service = make_service();
-  Decider& seq = seq_service->add_decider();
-  Decider& batch = batch_service->add_decider();
-
-  constexpr std::size_t kTotal = 1000;
-  util::Rng ctx_rng(888);
-  std::vector<double> contexts(kTotal * kDim);
-  for (double& v : contexts) v = ctx_rng.uniform();
-
-  std::vector<Decision> seq_out(kTotal), batch_out(kTotal);
-  for (std::size_t i = 0; i < kTotal; ++i) {
-    seq_out[i] = seq.decide(
-        std::span<const double>(contexts.data() + i * kDim, kDim));
-  }
-  // Uneven chunk sizes cover batch=1 and batches spanning ring wraps.
-  const std::size_t chunks[] = {1, 7, 64, 256, kTotal};
-  std::size_t done = 0;
-  for (std::size_t c = 0; done < kTotal; ++c) {
-    const std::size_t n = std::min(chunks[c % 5], kTotal - done);
-    batch.decide_batch(
-        std::span<const double>(contexts.data() + done * kDim, n * kDim),
-        std::span<Decision>(batch_out.data() + done, n));
-    done += n;
-  }
-
-  for (std::size_t i = 0; i < kTotal; ++i) {
-    EXPECT_EQ(seq_out[i].action, batch_out[i].action) << "i=" << i;
-    EXPECT_EQ(seq_out[i].propensity, batch_out[i].propensity) << "i=" << i;
-    EXPECT_EQ(seq_out[i].snapshot_id, batch_out[i].snapshot_id) << "i=" << i;
-  }
-  EXPECT_EQ(seq.decided(), batch.decided());
-  EXPECT_EQ(seq.logged(), batch.logged());
-  EXPECT_EQ(seq.dropped(), batch.dropped());
-  // Both leave their last decision staged; log it so the streams flush
-  // completely, then compare the full record streams.
-  seq.log_reward(0.5);
-  batch.log_reward(0.5);
-  EXPECT_EQ(drain_signature(*seq_service), drain_signature(*batch_service));
-  // Post-batch rng states line up: the next decision matches too.
-  const double tail[kDim] = {0.33, 0.66};
-  const Decision ds = seq.decide(std::span<const double>(tail, kDim));
-  const Decision db = batch.decide(std::span<const double>(tail, kDim));
-  EXPECT_EQ(ds.action, db.action);
-  EXPECT_EQ(ds.propensity, db.propensity);
-  seq_service->reclaim_all();
-  batch_service->reclaim_all();
-}
-
-TEST(DecideBatchTest, EmptyBatchIsANoOp) {
-  DecisionService service(
-      {.num_actions = kActions, .dim = kDim, .log_capacity = 1 << 8,
-       .seed = 5},
-      PolicySnapshot::uniform(1, kActions, kDim));
-  Decider& decider = service.add_decider();
-  decider.decide_batch(std::span<const double>(), std::span<Decision>());
-  EXPECT_EQ(decider.decided(), 0u);
-}
-
-TEST(DecideBatchTest, WorksWithPlannedSnapshots) {
-  // The batched path and the planned kind compose: propensities in the
-  // batch output are exact plan entries.
-  DecisionService service(
-      {.num_actions = kActions, .dim = kDim, .log_capacity = 1 << 10,
-       .seed = 99},
-      PolicySnapshot::planned(4, kActions, kDim, test_weights(), test_plan()));
-  Decider& decider = service.add_decider();
-  const std::vector<double> plan = test_plan();
-
-  util::Rng ctx_rng(100);
-  constexpr std::size_t kN = 300;
-  std::vector<double> contexts(kN * kDim);
-  for (double& v : contexts) v = ctx_rng.uniform();
-  std::vector<Decision> out(kN);
-  decider.decide_batch(std::span<const double>(contexts),
-                       std::span<Decision>(out));
-  const SnapshotRef snap = decider.snapshot();
-  for (std::size_t i = 0; i < kN; ++i) {
-    const std::size_t s = snap->greedy(
-        std::span<const double>(contexts.data() + i * kDim, kDim));
-    EXPECT_EQ(out[i].propensity, plan[s * kActions + out[i].action]);
-  }
-  service.reclaim_all();
 }
 
 }  // namespace

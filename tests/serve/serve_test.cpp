@@ -155,10 +155,6 @@ TEST(DecisionServiceTest, WrongSizeContextThrowsBeforeStaging) {
   d.decide(good);  // staged, waiting for its reward
   EXPECT_THROW(d.decide(shorter), std::invalid_argument);
   EXPECT_THROW(d.decide(longer), std::invalid_argument);
-  std::vector<Decision> out(2);
-  EXPECT_THROW(d.decide_batch(std::vector<double>(3, 0.1), out),
-               std::invalid_argument);
-  EXPECT_THROW(d.decide_batch(longer, out), std::invalid_argument);
   EXPECT_EQ(d.decided(), 1u);
   d.log_reward(0.5);  // still labels the first decision
   EXPECT_EQ(d.orphaned(), 0u);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "util/rng.h"
 
 namespace harvest::stats {
@@ -15,56 +17,28 @@ TEST(CiTest, NormalCriticalKnownValues) {
   EXPECT_THROW(normal_critical(1.0), std::invalid_argument);
 }
 
-TEST(CiTest, HoeffdingShrinksWithN) {
-  const double h100 = hoeffding_halfwidth(100, 0.05, 0, 1);
-  const double h400 = hoeffding_halfwidth(400, 0.05, 0, 1);
-  EXPECT_NEAR(h400, h100 / 2.0, 1e-12);  // sqrt(n) scaling
-  EXPECT_GT(h100, 0);
-}
-
-TEST(CiTest, HoeffdingScalesWithRange) {
-  const double unit = hoeffding_halfwidth(50, 0.1, 0, 1);
-  const double wide = hoeffding_halfwidth(50, 0.1, -5, 5);
-  EXPECT_NEAR(wide, 10 * unit, 1e-12);
-}
-
 TEST(CiTest, BernsteinTighterThanHoeffdingForSmallVariance) {
-  // With tiny empirical variance and moderate n, Bernstein wins.
+  // With tiny empirical variance and moderate n, Bernstein wins over the
+  // variance-blind Hoeffding half-width range * sqrt(ln(2/delta) / 2n).
   const double bern =
       empirical_bernstein_halfwidth(10000, 0.05, /*variance=*/0.001, 1.0);
-  const double hoef = hoeffding_halfwidth(10000, 0.05, 0, 1);
+  const double hoef = std::sqrt(std::log(2.0 / 0.05) / (2.0 * 10000));
   EXPECT_LT(bern, hoef);
 }
 
 TEST(CiTest, IntervalContainsCenter) {
-  const Interval i = hoeffding_interval(0.4, 100, 0.05, 0, 1);
+  const Interval i = bernstein_interval(0.4, 100, 0.05, 0.24, 1.0);
   EXPECT_TRUE(i.contains(0.4));
   EXPECT_LT(i.lo, 0.4);
   EXPECT_GT(i.hi, 0.4);
 }
 
-TEST(CiTest, WilsonKnownProportion) {
-  // 50/100 at 95%: standard Wilson interval approx [0.404, 0.596].
-  const Interval i = wilson_interval(50, 100, 0.05);
-  EXPECT_NEAR(i.lo, 0.404, 0.005);
-  EXPECT_NEAR(i.hi, 0.596, 0.005);
-}
+// Coverage property: the empirical-Bernstein interval must contain the true
+// mean in at least 1-delta of repeated experiments (it is conservative, so
+// near 1).
+class BernsteinCoverage : public ::testing::TestWithParam<double> {};
 
-TEST(CiTest, WilsonDegenerateCounts) {
-  const Interval zero = wilson_interval(0, 20, 0.05);
-  EXPECT_GE(zero.lo, 0.0);
-  EXPECT_GT(zero.hi, 0.0);
-  const Interval all = wilson_interval(20, 20, 0.05);
-  EXPECT_LT(all.lo, 1.0);
-  EXPECT_LE(all.hi, 1.0 + 1e-12);
-  EXPECT_THROW(wilson_interval(21, 20, 0.05), std::invalid_argument);
-}
-
-// Coverage property: the Hoeffding interval must contain the true mean in
-// at least 1-delta of repeated experiments (it is conservative, so near 1).
-class HoeffdingCoverage : public ::testing::TestWithParam<double> {};
-
-TEST_P(HoeffdingCoverage, CoversTrueMean) {
+TEST_P(BernsteinCoverage, CoversTrueMean) {
   const double true_p = GetParam();
   util::Rng rng(99);
   const int experiments = 400;
@@ -73,18 +47,22 @@ TEST_P(HoeffdingCoverage, CoversTrueMean) {
   for (int e = 0; e < experiments; ++e) {
     double sum = 0;
     for (int i = 0; i < n; ++i) sum += rng.bernoulli(true_p) ? 1.0 : 0.0;
-    const Interval ci = hoeffding_interval(sum / n, n, 0.05, 0, 1);
+    const double mean = sum / n;
+    const double variance = mean * (1.0 - mean) * n / (n - 1);
+    const Interval ci = bernstein_interval(mean, n, 0.05, variance, 1.0);
     if (ci.contains(true_p)) ++covered;
   }
   EXPECT_GE(static_cast<double>(covered) / experiments, 0.95);
 }
 
-INSTANTIATE_TEST_SUITE_P(Proportions, HoeffdingCoverage,
+INSTANTIATE_TEST_SUITE_P(Proportions, BernsteinCoverage,
                          ::testing::Values(0.1, 0.3, 0.5, 0.8));
 
 TEST(CiTest, RejectsBadArguments) {
-  EXPECT_THROW(hoeffding_halfwidth(0, 0.05, 0, 1), std::invalid_argument);
-  EXPECT_THROW(hoeffding_halfwidth(10, 0.0, 0, 1), std::invalid_argument);
+  EXPECT_THROW(empirical_bernstein_halfwidth(0, 0.05, 0.1, 1),
+               std::invalid_argument);
+  EXPECT_THROW(empirical_bernstein_halfwidth(10, 0.0, 0.1, 1),
+               std::invalid_argument);
   EXPECT_THROW(empirical_bernstein_halfwidth(10, 1.5, 0.1, 1),
                std::invalid_argument);
 }

@@ -105,17 +105,10 @@ inline double truth_always1(std::size_t horizon) {
 /// Every LB router kind exercised by the invariant sweeps.
 inline lb::RouterPtr make_router(const std::string& kind) {
   if (kind == "random") return std::make_unique<lb::RandomRouter>(2);
-  if (kind == "round-robin") {
-    return std::make_unique<lb::RoundRobinRouter>(2);
-  }
   if (kind == "least-loaded") {
     return std::make_unique<lb::LeastLoadedRouter>(2);
   }
   if (kind == "send-to-1") return std::make_unique<lb::SendToRouter>(2, 0);
-  if (kind == "weighted") {
-    return std::make_unique<lb::WeightedRandomRouter>(
-        std::vector<double>{1.0, 3.0});
-  }
   if (kind == "epoch") {
     return std::make_unique<lb::EpochWeightedRandomRouter>(2, 200, 0.5);
   }

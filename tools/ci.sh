@@ -15,6 +15,11 @@
 # The build tree goes to build-ci[-<sanitizer>] so it never collides with a
 # developer's ./build. The main tree and the TSan sub-build compile with
 # -Werror: the build is warning-clean and stays that way.
+#
+# Plain runs write this host's bench snapshots (BENCH_ingestion.json,
+# BENCH_obs.json, BENCH_design.json, BENCH_serve.json) under
+# $BUILD_DIR/bench/ and print their paths; the committed copies at the repo
+# root change only by a deliberate cp.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,6 +34,7 @@ fi
 
 cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}" -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j "$(nproc)"
+BENCH_OUT="$BUILD_DIR/bench"
 
 for label in unit property integration stress; do
   echo "==> ctest -L ${label}"
@@ -160,19 +166,20 @@ if [[ -z "$SANITIZE" ]]; then
   "$BUILD_DIR/bench/ingestion_throughput" --rows 10000000 --reps 3 \
     --workdir "$STORE_DIR/ingest_scaled" --min-prune-speedup 10 \
     --json-out "$STORE_DIR/ingest_scaled.json"
-  # Refresh the committed snapshot with both modes.
+  # This run's snapshot of both modes.
   printf '{"classic": %s, "scaled": %s}\n' \
     "$(cat "$STORE_DIR/ingest_classic.json")" \
-    "$(cat "$STORE_DIR/ingest_scaled.json")" > BENCH_ingestion.json
+    "$(cat "$STORE_DIR/ingest_scaled.json")" > "$BENCH_OUT/BENCH_ingestion.json"
+  echo "wrote $BENCH_OUT/BENCH_ingestion.json"
 fi
 
 echo "==> obs: recorder overhead gate + trace analyzer round-trip"
 if [[ -z "$SANITIZE" ]]; then
   # The flight recorder must be ~free on the hot path: instrumented
   # scavenge->estimate within 5% of baseline, and default configs drop-free.
-  # The JSON snapshot is committed so perf regressions show up in review.
+  # A committed copy of the JSON snapshot lets review spot perf regressions.
   "$BUILD_DIR/bench/obs_overhead" --reps 5 --records 8000 --iters 4 \
-    --max-overhead 0.05 --json-out BENCH_obs.json
+    --max-overhead 0.05 --json-out "$BENCH_OUT/BENCH_obs.json"
 else
   # Sanitizer builds skew timing; run the bench for coverage, gate off.
   "$BUILD_DIR/bench/obs_overhead" --fast > /dev/null
@@ -261,10 +268,11 @@ echo "==> design: plan -> serve under the plan -> measured variance gate"
 # variance, and the variance measured on the planned arm's re-harvest must
 # be no worse than the eps-greedy control arm serving the same contexts.
 if [[ -z "$SANITIZE" ]]; then
-  # Refresh the committed snapshot on plain runs.
+  # Plain runs also write this host's snapshot.
   "$BUILD_DIR/tools/harvest_design" --selfloop --decisions 12000 \
     --threads 2 --workdir "$STORE_DIR/design_loop" --check \
-    --bench BENCH_design.json > /dev/null
+    --bench "$BENCH_OUT/BENCH_design.json" > /dev/null
+  echo "wrote $BENCH_OUT/BENCH_design.json"
 else
   "$BUILD_DIR/tools/harvest_design" --selfloop --decisions 12000 \
     --threads 2 --workdir "$STORE_DIR/design_loop" --check > /dev/null
@@ -300,8 +308,8 @@ if [[ -z "$SANITIZE" ]]; then
   # decide() regression of 3x or more does not.
   "$BUILD_DIR/bench/micro_decision_latency" --serve-throughput \
     --serve-threads 2 --serve-seconds 2 --swap-ms 5 \
-    --min-mops 4 --max-p99-us 500 --json-out BENCH_serve.json
-  echo "ok: serve gate passed; BENCH_serve.json refreshed"
+    --min-mops 4 --max-p99-us 500 --json-out "$BENCH_OUT/BENCH_serve.json"
+  echo "ok: serve gate passed; wrote $BENCH_OUT/BENCH_serve.json"
 fi
 
 if [[ -z "$SANITIZE" ]]; then
@@ -319,15 +327,19 @@ if [[ -z "$SANITIZE" ]]; then
 fi
 
 if [[ -z "$SANITIZE" ]]; then
-  echo "==> obs + serve: stress suites under TSan"
-  # The SPSC handoff (drain-while-recording) and the snapshot swap/reclaim
-  # protocol are the races this repo's memory orderings exist to make safe;
-  # prove both under the analyzer even on plain CI runs.
+  echo "==> par + obs + serve: pool and stress suites under TSan"
+  # The pool's queue, the SPSC handoff (drain-while-recording) and the
+  # snapshot swap/reclaim protocol are the races this repo's locks and
+  # memory orderings exist to make safe; prove them under the analyzer even
+  # on plain CI runs.
   cmake -B build-ci-obs-tsan -S . -DHARVEST_SANITIZE=thread \
     -DCMAKE_CXX_FLAGS=-Werror
   cmake --build build-ci-obs-tsan -j "$(nproc)" \
-    --target recorder_stress_tests serve_stress_tests
-  ctest --test-dir build-ci-obs-tsan --output-on-failure \
-    -R 'RecorderStressTest|ServeStressTest' -j "$(nproc)"
-  echo "ok: recorder + serve stress clean under TSan"
+    --target par_tests par_stress_tests recorder_stress_tests \
+    serve_stress_tests
+  TSAN_TESTS='ThreadPool|ParallelFor|ParallelReduce|ObsStress|DefaultPool'
+  TSAN_TESTS+='|RecorderStressTest|ServeStressTest'
+  ctest --test-dir build-ci-obs-tsan --output-on-failure -R "$TSAN_TESTS" \
+    -j "$(nproc)"
+  echo "ok: pool, recorder and serve stress clean under TSan"
 fi

@@ -30,7 +30,7 @@
 //   part files rotated every N rows) instead of one .hlog file.
 // --merge folds many HLOG inputs (files and/or dataset directories, whose
 //   members are expanded in manifest order) into one output file on the
-//   work-stealing pool — bit-deterministic at any --threads, and the
+//   thread pool — bit-deterministic at any --threads, and the
 //   quarantine ledger is conserved exactly (rows lost to CRC damage while
 //   reading the inputs move into dropped_corrupt_block). The scan-predicate
 //   flags (--min-time/--max-time/--only-action/--min-propensity/

@@ -7,8 +7,7 @@
 //   1. per-stage aggregate timings (count / total / mean / max per name),
 //      plus a per-name tally of instant events (e.g. store.prune_block),
 //   2. the top-N slowest individual spans,
-//   3. per-worker utilization and steal balance (from par.task events:
-//      a=stolen flag, b=victim queue),
+//   3. per-worker utilization (from par.task events),
 //   4. the critical path of the longest root span — the chain of slowest
 //      descendants, with self-time per hop.
 //
@@ -50,9 +49,6 @@ struct Span {
   std::uint64_t id = 0;      // 0 when the event carries no id
   std::uint64_t parent = 0;  // 0 = root / unknown
   bool has_ids = false;
-  // par.task payload (chrome "a"/"b" args): was the task stolen, and from
-  // whom.
-  std::optional<std::uint64_t> arg_a, arg_b;
 };
 
 struct Trace {
@@ -124,8 +120,6 @@ Trace parse_trace(const std::string& text, const std::string& origin) {
       span.parent = uint_arg(args, "parent").value_or(0);
       span.has_ids = true;
     }
-    span.arg_a = uint_arg(args, "a");
-    span.arg_b = uint_arg(args, "b");
     trace.spans.push_back(std::move(span));
   }
   return trace;
@@ -307,9 +301,9 @@ int main(int argc, char** argv) {
   }
   slow_table.print(std::cout);
 
-  // 3. Per-worker utilization + steal balance from par.task events.
+  // 3. Per-worker utilization from par.task events.
   struct Worker {
-    std::size_t tasks = 0, stolen = 0;
+    std::size_t tasks = 0;
     double busy = 0;
   };
   std::map<int, Worker> workers;
@@ -318,19 +312,16 @@ int main(int argc, char** argv) {
     Worker& w = workers[s.tid];
     ++w.tasks;
     w.busy += s.dur;
-    if (s.arg_a.value_or(0) == 1) ++w.stolen;
   }
   if (!workers.empty() && wall_us > 0) {
     std::cout << "\n== per-worker utilization (par.task) ==\n";
-    Table worker_table(
-        {"thread", "tasks", "stolen", "busy ms", "utilization"});
+    Table worker_table({"thread", "tasks", "busy ms", "utilization"});
     for (const auto& [tid, w] : workers) {
       const auto tn = trace.thread_names.find(tid);
       worker_table.add_row(
           {tn != trace.thread_names.end() ? tn->second
                                           : "tid-" + std::to_string(tid),
-           std::to_string(w.tasks), std::to_string(w.stolen),
-           format_double(w.busy / 1000.0, 3),
+           std::to_string(w.tasks), format_double(w.busy / 1000.0, 3),
            format_double(100.0 * w.busy / wall_us, 1) + "%"});
     }
     worker_table.print(std::cout);
