@@ -63,6 +63,24 @@ void refill_context(core::FeatureVector& x, util::Rng& rng) {
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = rng.uniform();
 }
 
+/// 256 uniform contexts drawn up front and handed out in turn, for the
+/// kernel benches below, which time the kernel alone.
+class ContextRing {
+ public:
+  ContextRing(std::size_t dim, util::Rng& rng) : dim_(dim), values_(256 * dim) {
+    for (double& v : values_) v = rng.uniform();
+  }
+  std::span<const double> next() const {
+    const std::size_t at = next_++ & 255;
+    return std::span<const double>(values_).subspan(at * dim_, dim_);
+  }
+
+ private:
+  std::size_t dim_;
+  std::vector<double> values_;
+  mutable std::size_t next_ = 0;
+};
+
 void BM_UniformRandomDecision(benchmark::State& state) {
   const core::UniformRandomPolicy policy(
       static_cast<std::size_t>(state.range(0)));
@@ -92,6 +110,90 @@ void BM_LinearGreedyDecision(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LinearGreedyDecision)->Args({2, 3})->Args({9, 8})->Args({25, 26});
+
+/// core::LinearScorer::argmax at K actions x D dims on each implementation
+/// (arg 2: 0 scalar, 1 AVX2): where kAuto's action crossover comes from.
+void BM_ScorerArgmax(benchmark::State& state) {
+  const auto num_actions = static_cast<std::size_t>(state.range(0));
+  const auto dim = static_cast<std::size_t>(state.range(1));
+  const core::Lanes lanes =
+      state.range(2) == 0 ? core::Lanes::kScalar : core::Lanes::kAvx2;
+  if (lanes == core::Lanes::kAvx2 && !core::host_has_avx2()) {
+    state.SkipWithError("host has no AVX2");
+    return;
+  }
+  util::Rng rng(2);
+  std::vector<double> rows(num_actions * (dim + 1));
+  for (double& v : rows) v = rng.uniform(-1, 1);
+  const core::LinearScorer scorer(rows, num_actions, lanes);
+  const ContextRing contexts(dim, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scorer.argmax(contexts.next()));
+  }
+}
+BENCHMARK(BM_ScorerArgmax)
+    ->ArgsProduct({{2, 3, 4, 9, 16, 25}, {4, 8, 26}, {0, 1}});
+
+/// A ridge model's greedy choice at ope-replay's K = 9, D = 8: one scorer
+/// pass (GreedyPolicy -> RewardModel::greedy).
+void BM_RidgeGreedyChoose(benchmark::State& state) {
+  const auto num_actions = static_cast<std::size_t>(state.range(0));
+  const auto dim = static_cast<std::size_t>(state.range(1));
+  util::Rng rng(3);
+  auto model = std::make_shared<core::RidgeRewardModel>(num_actions, dim, 1.0);
+  for (int i = 0; i < 200; ++i) {
+    model->observe(make_context(dim, rng),
+                   static_cast<core::ActionId>(rng.uniform_index(num_actions)),
+                   rng.uniform());
+  }
+  model->fit();
+  const core::GreedyPolicy policy(model);
+  core::FeatureVector x = make_context(dim, rng);
+  for (auto _ : state) {
+    refill_context(x, rng);
+    benchmark::DoNotOptimize(policy.choose(x));
+  }
+}
+BENCHMARK(BM_RidgeGreedyChoose)->Args({9, 8});
+
+/// RidgeRewardModel::observe, the online trainer's per-record fold, at
+/// serve-live's K = D = 16 and loop-narrow's K = 3, D = 4.
+void BM_RidgeObserve(benchmark::State& state) {
+  const auto num_actions = static_cast<std::size_t>(state.range(0));
+  const auto dim = static_cast<std::size_t>(state.range(1));
+  util::Rng rng(8);
+  core::RidgeRewardModel model(num_actions, dim, 1.0);
+  const ContextRing contexts(dim, rng);
+  core::ActionId a = 0;
+  for (auto _ : state) {
+    model.observe(contexts.next(), a, 0.5, 1.5);
+    a = a + 1 == num_actions ? 0 : a + 1;
+  }
+  benchmark::DoNotOptimize(model.observation_weight(0));
+}
+BENCHMARK(BM_RidgeObserve)->Args({16, 16})->Args({3, 4});
+
+/// core::fold_weighted_sample at D dims on each implementation (arg 1: 0
+/// scalar, 1 AVX2): where kAuto's dim crossover comes from.
+void BM_FoldWeightedSample(benchmark::State& state) {
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  const core::Lanes lanes =
+      state.range(1) == 0 ? core::Lanes::kScalar : core::Lanes::kAvx2;
+  if (lanes == core::Lanes::kAvx2 && !core::host_has_avx2()) {
+    state.SkipWithError("host has no AVX2");
+    return;
+  }
+  util::Rng rng(9);
+  const std::size_t n = dim + 1;
+  std::vector<double> m(n * n), b(n);
+  const ContextRing contexts(dim, rng);
+  for (auto _ : state) {
+    core::fold_weighted_sample(m, b, contexts.next(), 0.5, 1.5, lanes);
+    benchmark::DoNotOptimize(m.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_FoldWeightedSample)->ArgsProduct({{4, 6, 8, 12, 16}, {0, 1}});
 
 void BM_ServeDecideLogged(benchmark::State& state) {
   // The full service hot path: hazard acquire, eps-greedy decide, staged

@@ -4,10 +4,13 @@
 // free. This bench runs the fully instrumented scavenge→estimate loop (the
 // same pipeline::evaluate_candidates path harvest_inspect and the table
 // benches use — scope spans per stage, quarantine instants per dropped
-// record) with the process recorder enabled and disabled, takes the
-// min-of-reps wall time for each, and reports the relative overhead. The two
-// modes alternate rep by rep, so a host slowdown during the run lands on both
-// sides instead of reading as recorder overhead.
+// record) with the process recorder enabled and disabled, and reports the
+// relative overhead as the median over reps of each rep's on/off wall-time
+// ratio. A rep times one block in each mode back to back, and the mode that
+// goes first swaps from rep to rep, so a host slowdown lands on both halves
+// of a ratio instead of reading as recorder overhead, and the median keeps
+// the few reps a slowdown did split from deciding the gate, as they could
+// when the gate compared the two modes' minimum times.
 //
 //   obs_overhead [--fast] [--reps N] [--records N] [--iters N]
 //                [--max-overhead FRAC] [--json-out BENCH_obs.json]
@@ -61,21 +64,25 @@ void run_pipeline(const logs::LogStore& log,
   pipeline::evaluate_candidates(log, config, candidates, nullptr);
 }
 
-/// Min-of-reps wall time of `iters` passes with the recorder off and on.
-/// Every rep times one pass block in each mode, and the mode that goes first
-/// swaps from rep to rep. Leaves the recorder enabled.
+/// Each mode's minimum wall time of `iters` passes over the reps, and the
+/// median over reps of the rep's on/off ratio.
 struct Timings {
   double off_ms = 0;
   double on_ms = 0;
+  double median_ratio = 1;
 };
 
-Timings min_of_alternating_reps(std::size_t reps, std::size_t iters,
-                                const logs::LogStore& log,
-                                const pipeline::PipelineConfig& config,
-                                const std::vector<core::PolicyPtr>& candidates,
-                                obs::Recorder& recorder) {
-  Timings best;
+/// Every rep times one pass block in each mode, and the mode that goes first
+/// swaps from rep to rep. Leaves the recorder enabled.
+Timings alternating_reps(std::size_t reps, std::size_t iters,
+                         const logs::LogStore& log,
+                         const pipeline::PipelineConfig& config,
+                         const std::vector<core::PolicyPtr>& candidates,
+                         obs::Recorder& recorder) {
+  Timings t;
+  std::vector<double> ratios;
   for (std::size_t r = 0; r < reps; ++r) {
+    double ms[2] = {0, 0};  // [off, on]
     for (std::size_t k = 0; k < 2; ++k) {
       const bool on = (r + k) % 2 == 1;
       recorder.set_enabled(on);
@@ -83,13 +90,19 @@ Timings min_of_alternating_reps(std::size_t reps, std::size_t iters,
       for (std::size_t i = 0; i < iters; ++i) {
         run_pipeline(log, config, candidates);
       }
-      const double ms = timer.elapsed_ms();
-      double& side = on ? best.on_ms : best.off_ms;
-      if (r == 0 || ms < side) side = ms;
+      ms[on ? 1 : 0] = timer.elapsed_ms();
     }
+    if (r == 0 || ms[0] < t.off_ms) t.off_ms = ms[0];
+    if (r == 0 || ms[1] < t.on_ms) t.on_ms = ms[1];
+    ratios.push_back(ms[0] > 0 ? ms[1] / ms[0] : 1.0);
   }
   recorder.set_enabled(true);
-  return best;
+  std::sort(ratios.begin(), ratios.end());
+  const std::size_t mid = ratios.size() / 2;
+  t.median_ratio = ratios.size() % 2 == 1
+                       ? ratios[mid]
+                       : 0.5 * (ratios[mid - 1] + ratios[mid]);
+  return t;
 }
 
 }  // namespace
@@ -142,16 +155,15 @@ int main(int argc, char** argv) {
   recorder.reset();
 
   const Timings timings =
-      min_of_alternating_reps(reps, iters, log, config, candidates, recorder);
+      alternating_reps(reps, iters, log, config, candidates, recorder);
   const double baseline_ms = timings.off_ms;
   const double instrumented_ms = timings.on_ms;
   const obs::DrainStats drained = recorder.drain();
   const std::uint64_t dropped = recorder.ring_dropped_total();
 
-  const double overhead =
-      baseline_ms > 0 ? (instrumented_ms - baseline_ms) / baseline_ms : 0.0;
+  const double overhead = timings.median_ratio - 1.0;
 
-  util::Table table({"mode", "min wall ms", "overhead"});
+  util::Table table({"mode", "min wall ms", "overhead (median on/off - 1)"});
   table.add_row({"recorder off", util::format_double(baseline_ms, 3), "-"});
   table.add_row({"recorder on", util::format_double(instrumented_ms, 3),
                  util::format_double(100.0 * overhead, 2) + "%"});

@@ -20,11 +20,13 @@ void check_compatible(const ExplorationDataset& data, const Policy& policy,
 }  // namespace
 
 double expected_model_reward(const RewardModel& model, const Policy& policy,
-                             const FeatureVector& x, std::span<double> dist) {
+                             const FeatureVector& x, std::span<double> dist,
+                             std::span<double> rhat) {
   policy.distribution_into(x, dist);
+  model.predict_all(x, rhat);
   double v = 0;
   for (std::size_t a = 0; a < dist.size(); ++a) {
-    if (dist[a] > 0) v += dist[a] * model.predict(x, static_cast<ActionId>(a));
+    if (dist[a] > 0) v += dist[a] * rhat[a];
   }
   return v;
 }
@@ -46,9 +48,10 @@ Estimate DirectMethodEstimator::evaluate(const ExplorationDataset& data,
   par::parallel_for(par::default_pool(), par::ShardPlan::fixed(pts.size()),
                     [&](std::size_t, std::size_t begin, std::size_t end) {
                       std::vector<double> dist(data.num_actions());
+                      std::vector<double> rhat(data.num_actions());
                       for (std::size_t i = begin; i < end; ++i) {
                         contributions[i] = expected_model_reward(
-                            *model_, policy, pts[i].context, dist);
+                            *model_, policy, pts[i].context, dist, rhat);
                       }
                     });
   return finish(contributions, data.size(), delta,
@@ -75,15 +78,15 @@ Estimate DoublyRobustEstimator::evaluate(const ExplorationDataset& data,
       [&](std::size_t, std::size_t begin, std::size_t end) {
         Partial p;
         std::vector<double> dist(data.num_actions());
+        std::vector<double> rhat(data.num_actions());
         for (std::size_t i = begin; i < end; ++i) {
           const auto& pt = pts[i];
           const double dm =
-              expected_model_reward(*model_, policy, pt.context, dist);
+              expected_model_reward(*model_, policy, pt.context, dist, rhat);
           const double pi_a = dist[pt.action];
           if (pi_a > 0) ++p.matched;
           const double w = pi_a / pt.propensity;
-          const double correction =
-              w * (pt.reward - model_->predict(pt.context, pt.action));
+          const double correction = w * (pt.reward - rhat[pt.action]);
           contributions[i] = dm + correction;
           weights[i] = w;
           p.max_abs = std::max(p.max_abs, std::abs(dm + correction));

@@ -11,11 +11,13 @@
 namespace harvest::core {
 
 /// sum_a pi(a|x) r̂(x, a) over the actions pi plays: the model term of DM,
-/// DR, SWITCH and the sequence DR. Writes pi(·|x) into `dist` (size
-/// num_actions) on the way, so a caller sweeping a dataset reuses one buffer
-/// per shard and can read pi(a|x) from it afterwards.
+/// DR, SWITCH and the sequence DR. Writes pi(·|x) into `dist` and r̂(x, ·)
+/// into `rhat` (each of size num_actions, one RewardModel::predict_all
+/// call) on the way, so a caller sweeping a dataset reuses two buffers per
+/// shard and can read pi(a|x) and r̂(x, a) from them afterwards.
 double expected_model_reward(const RewardModel& model, const Policy& policy,
-                             const FeatureVector& x, std::span<double> dist);
+                             const FeatureVector& x, std::span<double> dist,
+                             std::span<double> rhat);
 
 /// DM(pi) = 1/N * sum_t sum_a pi(a|x_t) r̂(x_t, a).
 /// Zero variance from action mismatch, but inherits all of the reward

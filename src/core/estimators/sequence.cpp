@@ -253,14 +253,15 @@ Estimate SequenceDoublyRobustEstimator::evaluate(const TrajectoryDataset& data,
       [&](std::size_t, std::size_t begin, std::size_t end) {
         double shard_max = 1e-12;
         std::vector<double> dist(data.num_actions());
+        std::vector<double> rhat(data.num_actions());
         for (std::size_t i = begin; i < end; ++i) {
           const Trajectory& trajectory = data[i];
           double total = 0;
           for (std::size_t t = 0; t < trajectory.horizon(); ++t) {
             const auto& step = trajectory.steps[t];
-            const double v_hat =
-                expected_model_reward(*model_, policy, step.context, dist);
-            const double q_hat = model_->predict(step.context, step.action);
+            const double v_hat = expected_model_reward(
+                *model_, policy, step.context, dist, rhat);
+            const double q_hat = rhat[step.action];
             const double w_prev =
                 t == 0 ? 1.0 : normalized(i, t - 1);
             const double w = normalized(i, t);

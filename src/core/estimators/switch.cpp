@@ -58,6 +58,7 @@ Estimate SwitchEstimator::evaluate(const ExplorationDataset& data,
       [&](std::size_t, std::size_t begin, std::size_t end) {
         Partial p;
         std::vector<double> dist(data.num_actions());
+        std::vector<double> rhat(data.num_actions());
         for (std::size_t i = begin; i < end; ++i) {
           const auto& pt = pts[i];
           if (pt.propensity >= tau_) {
@@ -73,7 +74,7 @@ Estimate SwitchEstimator::evaluate(const ExplorationDataset& data,
             ++p.matched;
             ++p.switched;
             contributions[i] =
-                expected_model_reward(*model_, policy, pt.context, dist);
+                expected_model_reward(*model_, policy, pt.context, dist, rhat);
             weights[i] = std::numeric_limits<double>::quiet_NaN();
           }
         }

@@ -14,20 +14,17 @@ GreedyPolicy::GreedyPolicy(RewardModelPtr model, std::string name)
 }
 
 ActionId GreedyPolicy::choose(const FeatureVector& x) const {
-  return static_cast<ActionId>(argmax_first(num_actions(), [&](std::size_t a) {
-    return model_->predict(x, static_cast<ActionId>(a));
-  }));
+  return model_->greedy(x);
 }
 
 LinearPolicy::LinearPolicy(const std::vector<std::vector<double>>& weights,
                            std::string name)
     : DeterministicPolicy(weights.size()),
-      weights_(flatten_rows(weights)),
+      scorer_(flatten_rows(weights), weights.size()),
       name_(std::move(name)) {}
 
 ActionId LinearPolicy::choose(const FeatureVector& x) const {
-  return static_cast<ActionId>(
-      argmax_bias_first(weights_, num_actions(), x.values()));
+  return static_cast<ActionId>(scorer_.argmax(x.values()));
 }
 
 ThresholdPolicy::ThresholdPolicy(std::size_t num_actions, std::size_t feature,

@@ -7,10 +7,11 @@
 
 namespace harvest::core {
 
-/// Plays argmax_a r̂(x, a) over a fitted reward model by core::argmax_first,
-/// the rule argmax_bias_first follows too: ties break toward the lower
-/// action id (deterministic, so off-policy evaluation is exact) and a NaN
-/// prediction never wins.
+/// Plays argmax_a r̂(x, a) over a fitted reward model by RewardModel::greedy,
+/// core::argmax_first's rule, which core::LinearScorer follows too: ties
+/// break toward the lower action id (deterministic, so off-policy
+/// evaluation is exact) and a NaN prediction never wins. Over a ridge
+/// model that is one LinearScorer pass per context.
 class GreedyPolicy final : public DeterministicPolicy {
  public:
   GreedyPolicy(RewardModelPtr model, std::string name = "greedy");
@@ -25,12 +26,13 @@ class GreedyPolicy final : public DeterministicPolicy {
 };
 
 /// Plays argmax_a (w_a · [1, x]) for externally supplied weight vectors —
-/// the "linear vectors" policy template of §4 — by core::argmax_bias_first.
+/// the "linear vectors" policy template of §4 — by a core::LinearScorer
+/// built at construction.
 /// Unlike GreedyPolicy it does not own a learner, so it can represent
 /// arbitrary members of a policy class during enumeration.
 class LinearPolicy final : public DeterministicPolicy {
  public:
-  /// `weights[a]` has length dim+1 (bias first); the rows are stored end to
+  /// `weights[a]` has length dim+1 (bias first); the rows are laid end to
   /// end by core::flatten_rows, which throws on empty or ragged rows.
   LinearPolicy(const std::vector<std::vector<double>>& weights,
                std::string name = "linear");
@@ -40,7 +42,7 @@ class LinearPolicy final : public DeterministicPolicy {
   std::string name() const override { return name_; }
 
  private:
-  std::vector<double> weights_;  ///< num_actions rows of dim+1, bias first
+  LinearScorer scorer_;
   std::string name_;
 };
 

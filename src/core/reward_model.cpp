@@ -8,6 +8,22 @@
 
 namespace harvest::core {
 
+void RewardModel::predict_all(const FeatureVector& x,
+                              std::span<double> out) const {
+  if (out.size() != num_actions()) {
+    throw std::invalid_argument("RewardModel::predict_all: size mismatch");
+  }
+  for (std::size_t a = 0; a < out.size(); ++a) {
+    out[a] = predict(x, static_cast<ActionId>(a));
+  }
+}
+
+ActionId RewardModel::greedy(const FeatureVector& x) const {
+  return static_cast<ActionId>(argmax_first(num_actions(), [&](std::size_t a) {
+    return predict(x, static_cast<ActionId>(a));
+  }));
+}
+
 RidgeRewardModel::RidgeRewardModel(std::size_t num_actions, std::size_t dim,
                                    double lambda)
     : dim_with_bias_(dim + 1), lambda_(lambda), per_action_(num_actions) {
@@ -37,46 +53,18 @@ void RidgeRewardModel::clear_observations() {
   fitted_ = false;
 }
 
-void RidgeRewardModel::observe(std::span<const double> x, ActionId a,
-                               double reward, double weight) {
+// Cache-line aligned, for the placement reason PolicySnapshot::decide
+// gives (serve/snapshot.cpp).
+__attribute__((aligned(64))) void RidgeRewardModel::observe(
+    std::span<const double> x, ActionId a, double reward, double weight) {
   if (a >= per_action_.size()) {
     throw std::out_of_range("RidgeRewardModel::observe: bad action");
   }
   if (x.size() + 1 != dim_with_bias_) {
     throw std::invalid_argument("RidgeRewardModel::observe: bad dimension");
   }
-  // Row i of X^T W X gains (v_i w) v_j for j <= i, where v = [1, x]. The
-  // products with the bias 1 are exact and left out, so every entry the
-  // Cholesky solve reads gets the value a full outer product of [1, x]
-  // gives it, bit for bit. Rows go in pairs that share each load of x_j.
   auto& pa = per_action_[a];
-  const std::size_t n = dim_with_bias_;
-  double* const m = pa.xtx.values().data();
-  m[0] += weight;
-  std::size_t i = 1;
-  for (; i + 1 < n; i += 2) {
-    const double vi = x[i - 1] * weight;
-    const double vk = x[i] * weight;
-    double* const ri = m + i * n;
-    double* const rk = ri + n;
-    ri[0] += vi;
-    rk[0] += vk;
-    for (std::size_t j = 1; j <= i; ++j) {
-      const double xj = x[j - 1];
-      ri[j] += vi * xj;
-      rk[j] += vk * xj;
-    }
-    rk[i + 1] += vk * x[i];
-  }
-  if (i < n) {  // the last row, when dim is odd
-    const double vi = x[i - 1] * weight;
-    double* const ri = m + i * n;
-    ri[0] += vi;
-    for (std::size_t j = 1; j <= i; ++j) ri[j] += vi * x[j - 1];
-  }
-  const double wr = weight * reward;
-  pa.xty[0] += wr;
-  for (std::size_t k = 1; k < n; ++k) pa.xty[k] += wr * x[k - 1];
+  fold_weighted_sample(pa.xtx.values(), pa.xty, x, reward, weight);
   pa.total_weight += weight;
   fitted_ = false;
 }
@@ -110,6 +98,7 @@ void RidgeRewardModel::fit() {
     const std::vector<double> solved = cholesky_solve(pa.xtx, pa.xty);
     coef_.insert(coef_.end(), solved.begin(), solved.end());
   }
+  scorer_ = LinearScorer(coef_, per_action_.size());
   fitted_ = true;
 }
 
@@ -124,6 +113,19 @@ double RidgeRewardModel::predict(const FeatureVector& x, ActionId a) const {
       std::span<const double>(coef_.data() + a * dim_with_bias_,
                               dim_with_bias_),
       x.values());
+}
+
+void RidgeRewardModel::predict_all(const FeatureVector& x,
+                                   std::span<double> out) const {
+  if (!fitted_) {
+    throw std::logic_error("RidgeRewardModel::predict_all before fit()");
+  }
+  scorer_.scores(x.values(), out);
+}
+
+ActionId RidgeRewardModel::greedy(const FeatureVector& x) const {
+  if (!fitted_) throw std::logic_error("RidgeRewardModel::greedy before fit()");
+  return static_cast<ActionId>(scorer_.argmax(x.values()));
 }
 
 std::span<const double> RidgeRewardModel::coefficients() const {

@@ -19,6 +19,18 @@ class RewardModel {
  public:
   virtual ~RewardModel() = default;
   virtual double predict(const FeatureVector& x, ActionId a) const = 0;
+
+  /// r̂(x, a) for every action into `out`: the doubles predict() returns,
+  /// from one call per context. The default calls predict() per action.
+  /// Throws std::invalid_argument unless out.size() == num_actions().
+  virtual void predict_all(const FeatureVector& x,
+                           std::span<double> out) const;
+
+  /// The greedy action over the predictions, by core::argmax_first's rule:
+  /// the lowest id among the largest non-NaN values, 0 when all are NaN.
+  /// The default calls predict() per action.
+  virtual ActionId greedy(const FeatureVector& x) const;
+
   virtual std::size_t num_actions() const = 0;
   virtual std::string name() const = 0;
 };
@@ -28,15 +40,18 @@ using RewardModelPtr = std::shared_ptr<const RewardModel>;
 /// One ridge regression per action on bias-augmented features, fit with
 /// per-sample weights (importance weights when training from exploration
 /// data). Closed-form normal equations solved by Cholesky. Only the lower
-/// triangle of each X^T W X is accumulated, because it is all the Cholesky
-/// solve reads.
+/// triangle of each X^T W X is accumulated (core::fold_weighted_sample),
+/// because it is all the Cholesky solve reads. fit() also builds a
+/// core::LinearScorer over the coefficients, which predict_all() and
+/// greedy() read.
 class RidgeRewardModel final : public RewardModel {
  public:
   /// `dim` is the raw context dimension (a bias feature is added inside).
   RidgeRewardModel(std::size_t num_actions, std::size_t dim, double lambda);
 
   /// Adds one weighted observation of ([1, x], a) -> reward, reading the raw
-  /// context `x` in place. Allocates nothing. Throws std::out_of_range for
+  /// context `x` in place by core::fold_weighted_sample, whose kAuto picks
+  /// the implementation by dim. Allocates nothing. Throws std::out_of_range for
   /// an action out of range and std::invalid_argument unless x.size() is
   /// the model's dim.
   void observe(std::span<const double> x, ActionId a, double reward,
@@ -61,12 +76,17 @@ class RidgeRewardModel final : public RewardModel {
   /// nothing, so a caller can recycle accumulators.
   void clear_observations();
 
+  /// predict(), predict_all() and greedy() throw std::logic_error before
+  /// fit() and std::invalid_argument unless x.size() is the model's dim.
   double predict(const FeatureVector& x, ActionId a) const override;
+  void predict_all(const FeatureVector& x,
+                   std::span<double> out) const override;
+  ActionId greedy(const FeatureVector& x) const override;
   std::size_t num_actions() const override { return per_action_.size(); }
   std::string name() const override { return "ridge"; }
 
   /// Every action's fitted coefficients as num_actions rows of dim+1,
-  /// bias first, laid end to end: the layout core::argmax_bias_first and
+  /// bias first, laid end to end: the layout core::LinearScorer and
   /// serve::PolicySnapshot read. Throws std::logic_error before fit().
   std::span<const double> coefficients() const;
 
@@ -88,6 +108,7 @@ class RidgeRewardModel final : public RewardModel {
   double lambda_;
   std::vector<PerAction> per_action_;
   std::vector<double> coef_;  // solved weights, num_actions * dim_with_bias_
+  LinearScorer scorer_;       // coef_'s lanes; empty until the first fit()
   bool fitted_ = false;       // coef_ solves the current accumulators
 };
 

@@ -77,7 +77,7 @@ std::span<const double> LoggingPlan::stratum_distribution(
 }
 
 std::size_t LoggingPlan::stratum_of(std::span<const double> context) const {
-  return core::argmax_bias_first(reference_weights, num_actions, context);
+  return core::LinearScorer(reference_weights, num_actions).argmax(context);
 }
 
 void LoggingPlan::validate() const {

@@ -9,7 +9,7 @@
 // The stratum of a context is the greedy action of a *reference* linear
 // policy carried inside the plan — a pure function of (weights, context)
 // that the serving hot path evaluates with zero allocations (both sides
-// call core::argmax_bias_first), and that makes the classic eps-greedy
+// score it with a core::LinearScorer), and that makes the classic eps-greedy
 // logging policy expressible as a plan: stratum s gets eps/K everywhere
 // plus 1-eps on action s.
 //
@@ -60,7 +60,7 @@ struct LoggingPlan {
   std::span<const double> stratum_distribution(std::size_t s) const;
 
   /// Greedy action of the reference policy = the context's stratum, by
-  /// core::argmax_bias_first (ties to the lowest action id, a NaN score
+  /// core::LinearScorer::argmax (ties to the lowest action id, a NaN score
   /// never wins) — the kernel PolicySnapshot::greedy calls too, so the
   /// planner and the serving layer always agree on the stratum. Throws
   /// std::invalid_argument unless context.size() == dim.

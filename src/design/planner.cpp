@@ -150,6 +150,7 @@ PlannerReport plan_logging(const core::ExplorationDataset& harvest,
   }
 
   // ---- pass 1: deterministic parallel cost accumulation -----------------
+  const core::LinearScorer reference(reference_weights, k);
   const CostStats stats = par::parallel_reduce(
       par::default_pool(), par::ShardPlan::fixed(n), CostStats::zero(num_cand, k),
       [&](std::size_t, std::size_t begin, std::size_t end) {
@@ -157,12 +158,11 @@ PlannerReport plan_logging(const core::ExplorationDataset& harvest,
         std::vector<double> rhat(k), pi(k);
         for (std::size_t i = begin; i < end; ++i) {
           const auto& pt = pts[i];
-          const std::size_t s = core::argmax_bias_first(
-              reference_weights, k, pt.context.values());
+          const std::size_t s = reference.argmax(pt.context.values());
           p.counts[s] += 1;
+          model.predict_all(pt.context, rhat);
           double best = -std::numeric_limits<double>::infinity();
           for (std::size_t a = 0; a < k; ++a) {
-            rhat[a] = model.predict(pt.context, static_cast<core::ActionId>(a));
             p.mu[s * k + a] += rhat[a];
             best = std::max(best, rhat[a]);
           }

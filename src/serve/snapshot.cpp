@@ -89,6 +89,7 @@ PolicySnapshot::PolicySnapshot(std::uint64_t id, std::size_t num_actions,
   if (!(epsilon >= 0.0 && epsilon <= 1.0)) {
     throw std::invalid_argument("PolicySnapshot: epsilon must be in [0, 1]");
   }
+  scorer_ = core::LinearScorer(weights_, num_actions);
   checksum_ = checksum();
   canary_ = kCanaryLive;
   g_alive.fetch_add(1, std::memory_order_relaxed);
@@ -150,7 +151,8 @@ std::uint64_t PolicySnapshot::checksum() const {
 }
 
 bool PolicySnapshot::verify_integrity() const {
-  return canary_ == kCanaryLive && checksum_ == checksum();
+  return canary_ == kCanaryLive && checksum_ == checksum() &&
+         scorer_.matches(weights_);
 }
 
 std::uint64_t PolicySnapshot::alive_count() {
@@ -158,12 +160,17 @@ std::uint64_t PolicySnapshot::alive_count() {
 }
 
 core::ActionId PolicySnapshot::greedy(std::span<const double> context) const {
-  return static_cast<core::ActionId>(
-      core::argmax_bias_first(weights_, num_actions_, context));
+  return static_cast<core::ActionId>(scorer_.argmax(context));
 }
 
-Decision PolicySnapshot::decide(std::span<const double> context,
-                                util::Rng& rng) const {
+// Cache-line aligned, like the scoring kernels it calls. When the lane
+// kernels were added, roundbench/'s loop-narrow read decide() 5-10% and its
+// feedback path ~10% slower until this function and
+// RidgeRewardModel::observe were aligned; with every function and loop of
+// both builds aligned (-falign-functions=64 -falign-loops=32) it read the
+// same as before, so the loss was code placement, not the kernels.
+__attribute__((aligned(64))) Decision PolicySnapshot::decide(
+    std::span<const double> context, util::Rng& rng) const {
   const core::ActionId g = greedy(context);
   if (kind_ == SnapshotKind::kPlanned) {
     // Inverse-CDF draw from the stratum's planned row: one uniform draw,

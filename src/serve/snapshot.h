@@ -14,9 +14,10 @@
 //
 // Integrity: every snapshot carries a checksum over (id, geometry, weight
 // bit patterns) computed at construction and a liveness canary cleared by
-// the destructor. `verify_integrity()` lets the swap torture tests assert
-// that a concurrently acquired snapshot is never torn and never freed while
-// a reader holds it.
+// the destructor. `verify_integrity()` also checks the scorer's lane copy of
+// the weights, which is what decide() reads, against the checksummed rows;
+// it lets the swap torture tests assert that a concurrently acquired
+// snapshot is never torn and never freed while a reader holds it.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/linalg.h"
 #include "core/types.h"
 #include "util/rng.h"
 
@@ -88,9 +90,10 @@ class alignas(64) PolicySnapshot {
   /// s), so plan()[s * num_actions + a] is the propensity of action a there.
   std::span<const double> plan() const { return plan_; }
 
-  /// argmax_a (w_a · [1, x]) by core::argmax_bias_first: ties go to the
-  /// lower action id and a NaN score never wins. Throws
-  /// std::invalid_argument unless context.size() == dim(). Zero-allocation.
+  /// argmax_a (w_a · [1, x]) by the core::LinearScorer built at
+  /// construction: ties go to the lower action id and a NaN score never
+  /// wins. Throws std::invalid_argument unless context.size() == dim().
+  /// Zero-allocation.
   core::ActionId greedy(std::span<const double> context) const;
 
   /// Draw from the snapshot's conditional distribution. kEpsGreedy: with
@@ -123,9 +126,9 @@ class alignas(64) PolicySnapshot {
       std::string_view bytes);
 
   /// True while the construction-time checksum still matches the live
-  /// canary and the weight bytes. A torn concurrent read or a use after
-  /// reclamation fails this (torture-test hook; cheap enough to call on
-  /// every acquisition).
+  /// canary and the weight bytes, and the scorer's lanes still hold those
+  /// weights. A torn concurrent read or a use after reclamation fails this
+  /// (torture-test hook; cheap enough to call on every acquisition).
   bool verify_integrity() const;
 
   /// Process-wide count of constructed-but-not-destroyed snapshots. The
@@ -164,6 +167,7 @@ class alignas(64) PolicySnapshot {
   double epsilon_;
   SnapshotKind kind_ = SnapshotKind::kEpsGreedy;
   std::vector<double> weights_;  ///< num_actions * (dim+1), bias first
+  core::LinearScorer scorer_;    ///< weights_ in lanes; what greedy() reads
   std::vector<double> plan_;     ///< kPlanned: num_actions^2 row-major probs
   std::uint64_t checksum_ = 0;
   std::uint64_t canary_ = 0;

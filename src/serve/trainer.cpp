@@ -41,6 +41,11 @@ core::RidgeRewardModel SnapshotTrainer::empty_model() const {
 }
 
 bool SnapshotTrainer::ingest(const DecisionRecord& rec) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ingest_locked(rec);
+}
+
+bool SnapshotTrainer::ingest_locked(const DecisionRecord& rec) {
   if (std::isnan(rec.reward)) {
     unlabeled_.fetch_add(1, std::memory_order_relaxed);
     return false;
@@ -60,7 +65,6 @@ bool SnapshotTrainer::ingest(const DecisionRecord& rec) {
   }
   const double weight =
       options_.train.importance_weighted ? 1.0 / rec.propensity : 1.0;
-  std::lock_guard<std::mutex> lock(mu_);
   chunks_[open_].observe(std::span<const double>(rec.context, rec.dim),
                          rec.action, rec.reward, weight);
   if (++open_rows_ == chunk_rows_) {
@@ -79,8 +83,11 @@ bool SnapshotTrainer::ingest(const DecisionRecord& rec) {
 }
 
 std::size_t SnapshotTrainer::collect() {
-  const ServeDrainStats stats =
-      service_.drain([this](const DecisionRecord& rec) { ingest(rec); });
+  // One lock for the whole drain, and each record folded straight from its
+  // ring slot: no per-record lock and no buffer of drained records.
+  std::lock_guard<std::mutex> lock(mu_);
+  const ServeDrainStats stats = service_.drain(
+      [this](const DecisionRecord& rec) { ingest_locked(rec); });
   collected_.fetch_add(stats.drained, std::memory_order_relaxed);
   return stats.drained;
 }

@@ -72,8 +72,13 @@ class SnapshotTrainer {
   SnapshotTrainer(const SnapshotTrainer&) = delete;
   SnapshotTrainer& operator=(const SnapshotTrainer&) = delete;
 
-  /// Drains the service rings into the window via ingest(). Returns
-  /// records drained this call.
+  /// Drains the service rings into the window, folding each record as
+  /// ingest() does, straight from its ring slot. Takes the trainer's lock
+  /// once per call, so the lock order is the trainer's lock, then each
+  /// decider's ring lock. No code calls ingest() from a drain callback,
+  /// which would take them in the reverse order, so no cycle exists.
+  /// Allocates per call, never per record. Returns records drained this
+  /// call.
   std::size_t collect();
 
   /// Validates one drained record and folds it into the open chunk. Each
@@ -85,7 +90,8 @@ class SnapshotTrainer {
   ///    which the importance weight 1/p cannot use: invalid_dropped().
   /// Returns true when the record was folded. Allocates nothing once the
   /// window is full. Thread-safe; public so tests can feed records
-  /// directly.
+  /// directly. Must not be called from a DecisionService::drain callback
+  /// (see collect()).
   bool ingest(const DecisionRecord& rec);
 
   /// Retrains on the window — merges its chunks oldest first into a fresh
@@ -153,6 +159,7 @@ class SnapshotTrainer {
 
  private:
   core::RidgeRewardModel empty_model() const;
+  bool ingest_locked(const DecisionRecord& rec);  // ingest() under mu_
   std::size_t buffered_rows_locked() const;
 
   DecisionService& service_;

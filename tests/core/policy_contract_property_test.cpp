@@ -6,8 +6,9 @@
 //  - dot_bias_first(w, x), the scoring kernel of the linear policies and
 //    reward models, is bit-identical to dot(x.with_bias(), w), including on
 //    −0.0, ±inf and NaN inputs;
-//  - argmax_bias_first picks the lowest id among the largest non-NaN
-//    dot_bias_first scores (0 when all are NaN) on the same inputs.
+//  - LinearScorer::argmax over bias-first rows picks the lowest id among
+//    the largest non-NaN dot_bias_first scores (0 when all are NaN) on the
+//    same inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -257,10 +258,10 @@ TEST(ArgmaxBiasFirst, LowestIdAmongTheLargestNonNanScores) {
         seen = true;
       }
     }
-    ASSERT_EQ(argmax_bias_first(w, k, x), expected) << "trial " << trial;
+    ASSERT_EQ(LinearScorer(w, k).argmax(x), expected) << "trial " << trial;
   }
   for (const testing::ScoringCase& c : testing::scoring_special_cases()) {
-    EXPECT_EQ(argmax_bias_first(c.weights, 3, std::span<const double>(&c.x, 1)),
+    EXPECT_EQ(LinearScorer(c.weights, 3).argmax(std::span<const double>(&c.x, 1)),
               c.expected)
         << c.name;
   }
@@ -268,15 +269,16 @@ TEST(ArgmaxBiasFirst, LowestIdAmongTheLargestNonNanScores) {
 
 TEST(ArgmaxBiasFirst, RejectsMismatchedGeometry) {
   const std::vector<double> x{1.0, 2.0};
-  EXPECT_THROW(argmax_bias_first(std::vector<double>(5), 2, x),
-               std::invalid_argument);
-  EXPECT_THROW(argmax_bias_first(std::vector<double>(7), 2, x),
-               std::invalid_argument);
-  EXPECT_THROW(argmax_bias_first({}, 0, x), std::invalid_argument);
-  EXPECT_THROW(argmax_bias_first({}, 0, {}), std::invalid_argument);
+  EXPECT_THROW(LinearScorer(std::vector<double>(5), 2), std::invalid_argument);
+  EXPECT_THROW(LinearScorer(std::vector<double>(7), 2), std::invalid_argument);
+  EXPECT_THROW(LinearScorer({}, 0), std::invalid_argument);
+  EXPECT_THROW(LinearScorer(std::vector<double>(4), 0), std::invalid_argument);
+  EXPECT_THROW(LinearScorer(std::vector<double>(4), 2).argmax(x),
+               std::invalid_argument);  // rows of 2 mean dim 1, not 2
+  EXPECT_THROW(LinearScorer().argmax({}), std::invalid_argument);
   // 0.5 + 2·1 − 1·2 = 0.5 against 0 + 0·1 + 1·2 = 2.
-  EXPECT_EQ(argmax_bias_first(
-                std::vector<double>{0.5, 2.0, -1.0, 0.0, 0.0, 1.0}, 2, x),
+  EXPECT_EQ(LinearScorer(std::vector<double>{0.5, 2.0, -1.0, 0.0, 0.0, 1.0}, 2)
+                .argmax(x),
             1u);
 }
 

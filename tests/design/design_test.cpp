@@ -200,7 +200,7 @@ TEST(LoggingPlanTest, ValidateRejectsBrokenPlans) {
 
 TEST(LoggingPlanTest, StratumOfAgreesWithServeGreedy) {
   // The plan's stratum function IS the serving snapshot's greedy: both call
-  // core::argmax_bias_first. Disagreement would make the executor log
+  // core::LinearScorer. Disagreement would make the executor log
   // propensities from the wrong plan row. The special cases add NaN, signed
   // zero, infinite and exactly tied scores.
   const LoggingPlan p = plan(make_inputs(400, 37)).plan;

@@ -707,6 +707,26 @@ TEST(AllocGateTest, DecidePathIsZeroAllocation) {
   EXPECT_EQ(gate.delta(), 0u) << "decide path allocated";
 }
 
+TEST(AllocGateTest, WideDecidePathIsZeroAllocation) {
+  // 40 actions: the greedy choice scores three chunks of 16 lanes.
+  util::Rng rng(33);
+  const auto weights = random_weights(40, 8, rng);
+  DecisionService service(
+      {.num_actions = 40, .dim = 8, .log_capacity = 1 << 8, .seed = 77},
+      PolicySnapshot::from_weights(1, weights, 0.1));
+  Decider& d = service.add_decider();
+  double ctx[8];
+  auto decide_once = [&] {
+    for (double& v : ctx) v = rng.uniform(-1, 1);
+    d.decide_logged(std::span<const double>(ctx, 8), 0.5);
+  };
+  for (int i = 0; i < 100; ++i) decide_once();
+  service.drain([](const DecisionRecord&) {});
+  const AllocGate gate;
+  for (int i = 0; i < 10000; ++i) decide_once();  // a full ring drops, counted
+  EXPECT_EQ(gate.delta(), 0u) << "decide path allocated at 40 actions";
+}
+
 TEST(AllocGateTest, FullWindowIngestIsZeroAllocation) {
   // Once the window is full, the chunk that leaves it is cleared and reused:
   // ingest folds each tuple in place. With window_rows 0 the one
@@ -726,6 +746,37 @@ TEST(AllocGateTest, FullWindowIngestIsZeroAllocation) {
     EXPECT_EQ(gate.delta(), 0u) << "ingest allocated, window_rows=" << window;
     EXPECT_EQ(folded, 10 * kChunk);
   }
+}
+
+TEST(AllocGateTest, CollectDoesNotScaleWithRecords) {
+  // collect() folds each record from its ring slot: what it allocates per
+  // call (the drain's copy of the decider list) must not grow with the
+  // records drained, as a buffer of drained records would.
+  constexpr std::size_t kRecords = 1000;
+  DecisionService service(
+      {.num_actions = kFitActions, .dim = kFitDim, .log_capacity = 4096,
+       .seed = 5},
+      PolicySnapshot::uniform(1, kFitActions, kFitDim));
+  Decider& d = service.add_decider();
+  SnapshotTrainer trainer(service, {.window_rows = 3200});
+  RecordStream stream(52);
+  for (std::size_t i = 0; i < 2 * 3200; ++i) trainer.ingest(stream.next());
+  util::Rng rng(53);
+  auto collect_bytes = [&](std::size_t records) {
+    double ctx[kFitDim];
+    for (std::size_t i = 0; i < records; ++i) {
+      for (double& v : ctx) v = rng.uniform(-1, 1);
+      d.decide_logged(std::span<const double>(ctx, kFitDim), rng.uniform());
+    }
+    const std::uint64_t before = thread_allocation_bytes();
+    EXPECT_EQ(trainer.collect(), records);
+    return thread_allocation_bytes() - before;
+  };
+  const std::uint64_t small = collect_bytes(kRecords);
+  const std::uint64_t large = collect_bytes(4 * kRecords);
+  EXPECT_EQ(small, large);
+  EXPECT_LT(large, 1024u);
+  EXPECT_EQ(d.dropped(), 0u);
 }
 
 }  // namespace
