@@ -166,25 +166,30 @@ int main(int argc, char** argv) {
                  env, low_overlap, *policy, truth, low_estimators, eval_n,
                  reps, rng);
 
+  // Each check prints [ok] or [FAIL]; any FAIL makes the exit status 1.
+  bool all_ok = true;
+  const auto mark = [&all_ok](bool ok) {
+    all_ok = all_ok && ok;
+    return ok ? "ok" : "FAIL";
+  };
   std::cout << "Shape checks:\n"
-            << "  [" << (uni.at(dr).stddev < uni.at(ips).stddev ? "ok" : "FAIL")
+            << "  [" << mark(uni.at(dr).stddev < uni.at(ips).stddev)
             << "] uniform: DR variance below IPS variance ("
             << util::format_double(uni.at(dr).stddev, 4) << " vs "
             << util::format_double(uni.at(ips).stddev, 4) << ")\n"
             << "  ["
-            << (uni.at(dr).bias < uni.at(dm).bias + 0.005 ? "ok" : "FAIL")
+            << mark(uni.at(dr).bias < uni.at(dm).bias + 0.005)
             << "] uniform: DR bias no worse than the direct method's\n"
             << "  ["
-            << (uni.at(ips).bias < 3 * uni.at(ips).mc_noise + 0.003 ? "ok"
-                                                                    : "FAIL")
+            << mark(uni.at(ips).bias < 3 * uni.at(ips).mc_noise + 0.003)
             << "] uniform: IPS is unbiased up to Monte-Carlo noise\n"
             << "  ["
-            << (low.at(dr).rmse < low.at(clipped).rmse ? "ok" : "FAIL")
+            << mark(low.at(dr).rmse < low.at(clipped).rmse)
             << "] low overlap: DR beats clipped IPS on RMSE ("
             << util::format_double(low.at(dr).rmse, 4) << " vs "
             << util::format_double(low.at(clipped).rmse, 4) << ")\n"
             << "  ["
-            << (low.at(sw).stddev < low.at(ips).stddev ? "ok" : "FAIL")
+            << mark(low.at(sw).stddev < low.at(ips).stddev)
             << "] low overlap: SWITCH variance below plain IPS variance ("
             << util::format_double(low.at(sw).stddev, 4) << " vs "
             << util::format_double(low.at(ips).stddev, 4)
@@ -197,5 +202,5 @@ int main(int argc, char** argv) {
             << util::format_double(clip / static_cast<double>(num_actions), 2)
             << "; under low overlap the same clip throws away the rare "
                "high-weight matches that carry nearly all of the signal.\n";
-  return 0;
+  return all_ok ? 0 : 1;
 }

@@ -96,21 +96,27 @@ int main(int argc, char** argv) {
   const double err_stepwise = std::abs(est_stepwise - online);
   const double err_traj = std::abs(est_traj_w - online);
   const double err_pdis = std::abs(est_pdis_w - online);
+  // Each check prints [ok] or [FAIL]; any FAIL makes the exit status 1.
+  bool all_ok = true;
+  const auto mark = [&all_ok](bool ok) {
+    all_ok = all_ok && ok;
+    return ok ? "ok" : "FAIL";
+  };
   std::cout << "\nShape checks:\n"
-            << "  [" << (err_stepwise > 2 * err_traj ? "ok" : "FAIL")
+            << "  [" << mark(err_stepwise > 2 * err_traj)
             << "] weighted trajectory IS at least halves the stepwise error ("
             << util::format_double(err_traj, 2) << "s vs "
             << util::format_double(err_stepwise, 2) << "s off)\n"
-            << "  [" << (err_pdis < err_stepwise ? "ok" : "FAIL")
+            << "  [" << mark(err_pdis < err_stepwise)
             << "] weighted per-decision IS beats stepwise IPS too\n"
             << "  ["
-            << (est_traj_w > est_stepwise + 0.05 ? "ok" : "FAIL")
+            << mark(est_traj_w > est_stepwise + 0.05)
             << "] sequence weighting moves the estimate toward the "
                "overloaded truth\n"
             << "  ["
-            << (std::abs(est_dr - online) < err_stepwise ? "ok" : "FAIL")
+            << mark(std::abs(est_dr - online) < err_stepwise)
             << "] weighted sequence-DR beats stepwise too ("
             << util::format_double(est_dr, 2) << "s vs online "
             << util::format_double(online, 2) << "s)\n";
-  return 0;
+  return all_ok ? 0 : 1;
 }

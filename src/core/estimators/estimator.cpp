@@ -1,45 +1,31 @@
-#include "core/estimators/estimator.h"
-
-#include <stdexcept>
-
+#include "core/estimators/row_pass.h"
 #include "stats/summary.h"
 
-namespace harvest::core {
+namespace harvest::core::detail {
 
-Estimate OffPolicyEstimator::finish(const std::vector<double>& per_point,
-                                    std::size_t matched, double delta,
-                                    double range) {
-  if (per_point.empty()) {
-    throw std::invalid_argument("OffPolicyEstimator: no datapoints");
-  }
+Estimate finish(const Pass& pass, double delta, double range) {
   stats::Summary summary;
-  for (double v : per_point) summary.add(v);
+  for (double v : pass.contribution) summary.add(v);
 
   Estimate est;
   est.value = summary.mean();
-  est.n = per_point.size();
-  est.matched = matched;
+  est.n = pass.contribution.size();
+  est.matched = pass.matched;
   est.stderr_value = summary.stderr_mean();
   const double z = stats::normal_critical(delta);
   est.normal_ci = {est.value - z * est.stderr_value,
                    est.value + z * est.stderr_value};
   est.bernstein_ci = stats::bernstein_interval(
       est.value, est.n, delta, summary.variance(), range);
+  est.clipped_fraction =
+      static_cast<double>(pass.flagged) / static_cast<double>(est.n);
   return est;
 }
 
-void OffPolicyEstimator::attach_weight_diagnostics(
-    Estimate& est, const std::vector<double>& weights) {
-  if (weights.empty()) return;
-  double sum = 0, sum_sq = 0, max_w = 0;
-  for (double w : weights) {
-    sum += w;
-    sum_sq += w * w;
-    if (w > max_w) max_w = w;
-  }
-  est.max_weight = max_w;
-  est.ess = sum_sq > 0 ? (sum * sum) / sum_sq
-                       : static_cast<double>(weights.size());
+void report_weights(Estimate& est, std::span<const double> weights) {
+  const stats::WeightSummary summary = stats::summarize_weights(weights);
+  est.ess = summary.ess();
+  est.max_weight = summary.max;
 }
 
-}  // namespace harvest::core
+}  // namespace harvest::core::detail

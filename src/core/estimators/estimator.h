@@ -42,17 +42,6 @@ class OffPolicyEstimator {
                             double delta = 0.05) const = 0;
 
   virtual std::string name() const = 0;
-
- protected:
-  /// Finishes an estimate from per-point contribution values whose mean is
-  /// the estimator's value: fills stderr and both confidence intervals.
-  static Estimate finish(const std::vector<double>& per_point,
-                         std::size_t matched, double delta, double range);
-
-  /// Fills the weight-health diagnostics (ess, max_weight) from the
-  /// importance weights the estimator actually used.
-  static void attach_weight_diagnostics(Estimate& est,
-                                        const std::vector<double>& weights);
 };
 
 using EstimatorPtr = std::shared_ptr<const OffPolicyEstimator>;

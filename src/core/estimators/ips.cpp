@@ -4,66 +4,29 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "par/parallel.h"
+#include "core/estimators/row_pass.h"
 #include "util/string_util.h"
 
 namespace harvest::core {
 
-namespace {
-void check_compatible(const ExplorationDataset& data, const Policy& policy) {
-  if (data.empty()) throw std::invalid_argument("evaluate: empty dataset");
-  if (policy.num_actions() != data.num_actions()) {
-    throw std::invalid_argument("evaluate: action-set size mismatch");
-  }
-}
-}  // namespace
-
-// All three estimators are parallelized the same way: the expensive per-point
-// work (policy.probability) fills pre-sized contribution/weight slots over a
-// thread-count-independent shard plan, while the order-sensitive per-shard
-// tallies (matched/clipped counts, max weights) merge in shard order.
-// Integer sums and max are exact under any association, and the final
-// moment/CI pass runs sequentially over the filled vectors, so results are
-// bit-identical for any --threads value.
+// All three estimators run an importance row rule over the one row pass
+// (row_pass.h): it fills per-record contribution and weight slots over a
+// thread-count-independent shard plan, so results are bit-identical for any
+// --threads value.
 
 Estimate IpsEstimator::evaluate(const ExplorationDataset& data,
                                 const Policy& policy, double delta) const {
-  check_compatible(data, policy);
-  const auto& pts = data.points();
-  std::vector<double> contributions(pts.size()), weights(pts.size());
-  struct Partial {
-    std::size_t matched = 0;
-    double max_contribution = 0;
-  };
-  const Partial tally = par::parallel_reduce(
-      par::default_pool(), par::ShardPlan::fixed(pts.size()), Partial{},
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        Partial p;
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto& pt = pts[i];
-          const double pi_a = policy.probability(pt.context, pt.action);
-          const double w = pi_a / pt.propensity;
-          if (pi_a > 0) ++p.matched;
-          contributions[i] = w * pt.reward;
-          weights[i] = w;
-          p.max_contribution =
-              std::max(p.max_contribution, std::abs(w * pt.reward));
-        }
-        return p;
-      },
-      [](Partial acc, const Partial& p) {
-        acc.matched += p.matched;
-        acc.max_contribution = std::max(acc.max_contribution,
-                                        p.max_contribution);
-        return acc;
+  detail::check_compatible(data, policy);
+  const detail::Pass pass =
+      detail::sweep_rows(data, [&](std::size_t i, const detail::Scratch&) {
+        const ExplorationPoint& pt = data[i];
+        return detail::importance_row(
+            policy.probability(pt.context, pt.action), pt.propensity,
+            pt.reward);
       });
-  // The per-point contribution range for the Bernstein CI: rewards scaled by
-  // importance weights can exceed the raw reward range by 1/min_p.
-  const double range = std::max(
-      data.reward_range().width() / std::max(data.min_propensity(), 1e-12),
-      tally.max_contribution);
-  Estimate est = finish(contributions, tally.matched, delta, range);
-  attach_weight_diagnostics(est, weights);
+  Estimate est = detail::finish(
+      pass, delta, detail::importance_range(data, pass.max_abs));
+  detail::report_weights(est, pass.weight);
   return est;
 }
 
@@ -77,39 +40,22 @@ ClippedIpsEstimator::ClippedIpsEstimator(double max_weight)
 Estimate ClippedIpsEstimator::evaluate(const ExplorationDataset& data,
                                        const Policy& policy,
                                        double delta) const {
-  check_compatible(data, policy);
-  const auto& pts = data.points();
-  std::vector<double> contributions(pts.size()), weights(pts.size());
-  struct Partial {
-    std::size_t matched = 0;
-    std::size_t clipped = 0;
-  };
-  const Partial tally = par::parallel_reduce(
-      par::default_pool(), par::ShardPlan::fixed(pts.size()), Partial{},
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        Partial p;
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto& pt = pts[i];
-          const double pi_a = policy.probability(pt.context, pt.action);
-          const double raw = pi_a / pt.propensity;
-          const double w = std::min(raw, max_weight_);
-          if (raw > max_weight_) ++p.clipped;
-          if (pi_a > 0) ++p.matched;
-          contributions[i] = w * pt.reward;
-          weights[i] = w;
-        }
-        return p;
-      },
-      [](Partial acc, const Partial& p) {
-        acc.matched += p.matched;
-        acc.clipped += p.clipped;
-        return acc;
+  detail::check_compatible(data, policy);
+  // The importance row with w capped at M, flagged where the cap bites
+  // (importance_row itself stays uncapped: its flag is a constant false).
+  const detail::Pass pass =
+      detail::sweep_rows(data, [&](std::size_t i, const detail::Scratch&) {
+        const ExplorationPoint& pt = data[i];
+        const double pi_a = policy.probability(pt.context, pt.action);
+        const double raw = pi_a / pt.propensity;
+        const double w = std::min(raw, max_weight_);
+        return detail::Row{w * pt.reward, w, pi_a > 0, raw > max_weight_};
       });
-  const double range = data.reward_range().width() * max_weight_;
-  Estimate est = finish(contributions, tally.matched, delta, range);
-  attach_weight_diagnostics(est, weights);
-  est.clipped_fraction =
-      static_cast<double>(tally.clipped) / static_cast<double>(data.size());
+  // Capped weights bound every contribution by the cap times the reward
+  // range; the flagged share is the clipped fraction.
+  Estimate est =
+      detail::finish(pass, delta, data.reward_range().width() * max_weight_);
+  detail::report_weights(est, pass.weight);
   return est;
 }
 
@@ -119,37 +65,32 @@ std::string ClippedIpsEstimator::name() const {
 
 Estimate SnipsEstimator::evaluate(const ExplorationDataset& data,
                                   const Policy& policy, double delta) const {
-  check_compatible(data, policy);
-  const auto& pts = data.points();
-  std::vector<double> weights(pts.size()), rewards(pts.size());
-  const std::size_t matched = par::parallel_reduce(
-      par::default_pool(), par::ShardPlan::fixed(pts.size()),
-      std::size_t{0},
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        std::size_t m = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto& pt = pts[i];
-          const double pi_a = policy.probability(pt.context, pt.action);
-          if (pi_a > 0) ++m;
-          weights[i] = pi_a / pt.propensity;
-          rewards[i] = pt.reward;
-        }
-        return m;
-      },
-      [](std::size_t acc, std::size_t m) { return acc + m; });
-  // The weight sums stay sequential over the filled vectors: O(n) adds are
+  detail::check_compatible(data, policy);
+  // SNIPS is the w-weighted mean of the rewards, so its rows carry the IPS
+  // weight and the reward itself; the delta-method pass below then reads
+  // both from contiguous slots.
+  const detail::Pass pass =
+      detail::sweep_rows(data, [&](std::size_t i, const detail::Scratch&) {
+        const ExplorationPoint& pt = data[i];
+        detail::Row row = detail::importance_row(
+            policy.probability(pt.context, pt.action), pt.propensity,
+            pt.reward);
+        row.contribution = pt.reward;
+        return row;
+      });
+  // The weight sums stay sequential over the filled slots: O(n) adds are
   // cheap, and summing in point order keeps the value bit-stable across
   // both thread counts and refactors of the shard plan.
   double weight_sum = 0;
   double weighted_reward_sum = 0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    weight_sum += weights[i];
-    weighted_reward_sum += weights[i] * rewards[i];
+  for (std::size_t i = 0; i < pass.weight.size(); ++i) {
+    weight_sum += pass.weight[i];
+    weighted_reward_sum += pass.weight[i] * pass.contribution[i];
   }
   Estimate est;
   est.n = data.size();
-  est.matched = matched;
-  attach_weight_diagnostics(est, weights);
+  est.matched = pass.matched;
+  detail::report_weights(est, pass.weight);
   if (weight_sum <= 0) {
     // The candidate never overlaps the logged actions; SNIPS is undefined.
     // Report the midpoint with a vacuous full-range interval.
@@ -166,8 +107,8 @@ Estimate SnipsEstimator::evaluate(const ExplorationDataset& data,
   const double n = static_cast<double>(data.size());
   const double wbar = weight_sum / n;
   double var_acc = 0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const double term = weights[i] * (rewards[i] - v) / wbar;
+  for (std::size_t i = 0; i < pass.weight.size(); ++i) {
+    const double term = pass.weight[i] * (pass.contribution[i] - v) / wbar;
     var_acc += term * term;
   }
   const double var = var_acc / std::max(n - 1, 1.0);

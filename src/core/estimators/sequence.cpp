@@ -4,50 +4,13 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/estimators/direct.h"
 #include "core/estimators/ips.h"
+#include "core/estimators/row_pass.h"
 #include "par/parallel.h"
-#include "stats/summary.h"
 
 namespace harvest::core {
 
-void SequenceEstimator::check_compatible(const TrajectoryDataset& data,
-                                         const Policy& policy) {
-  if (data.empty()) {
-    throw std::invalid_argument("SequenceEstimator: empty dataset");
-  }
-  if (policy.num_actions() != data.num_actions()) {
-    throw std::invalid_argument(
-        "SequenceEstimator: action-set size mismatch");
-  }
-}
-
 namespace {
-
-/// Trajectories cost a full horizon of policy evaluations each, so shards
-/// are finer-grained than the per-point plan.
-par::ShardPlan trajectory_plan(std::size_t m) {
-  return par::ShardPlan::fixed(m, /*min_per_shard=*/64);
-}
-
-/// Per-point CI machinery shared with OffPolicyEstimator::finish, but the
-/// contributions here are per-*trajectory*.
-Estimate finish(const std::vector<double>& contributions, std::size_t matched,
-                double delta, double range) {
-  stats::Summary summary;
-  for (double v : contributions) summary.add(v);
-  Estimate est;
-  est.value = summary.mean();
-  est.n = contributions.size();
-  est.matched = matched;
-  est.stderr_value = summary.stderr_mean();
-  const double z = stats::normal_critical(delta);
-  est.normal_ci = {est.value - z * est.stderr_value,
-                   est.value + z * est.stderr_value};
-  est.bernstein_ci = stats::bernstein_interval(est.value, est.n, delta,
-                                               summary.variance(), range);
-  return est;
-}
 
 /// Self-normalization: rescale contributions by the mean weight (weighted
 /// importance sampling). Leaves the result untouched if the weight mass is
@@ -61,15 +24,16 @@ void self_normalize(std::vector<double>& contributions,
   for (double& c : contributions) c /= mean_w;
 }
 
-struct MatchMax {
-  std::size_t matched = 0;
-  double max_abs = 1e-12;
-};
-
-MatchMax merge_match_max(MatchMax acc, const MatchMax& p) {
-  acc.matched += p.matched;
-  acc.max_abs = std::max(acc.max_abs, p.max_abs);
-  return acc;
+/// The finish of the importance-sampling estimators: plain ones bound a
+/// contribution by twice the largest seen, weighted ones by the reward
+/// range.
+Estimate finish_sampled(detail::Pass& pass, const TrajectoryDataset& data,
+                        bool self_normalized, double delta) {
+  if (self_normalized) self_normalize(pass.contribution, pass.weight);
+  const double range = self_normalized
+                           ? data.reward_range().width()
+                           : 2 * std::max(pass.max_abs, 1e-12);
+  return detail::finish(pass, delta, range);
 }
 
 }  // namespace
@@ -84,39 +48,26 @@ std::string TrajectoryIpsEstimator::name() const {
 Estimate TrajectoryIpsEstimator::evaluate(const TrajectoryDataset& data,
                                           const Policy& policy,
                                           double delta) const {
-  check_compatible(data, policy);
-  const std::size_t m = data.size();
-  std::vector<double> contributions(m), weights(m);
-  const MatchMax tally = par::parallel_reduce(
-      par::default_pool(), trajectory_plan(m), MatchMax{},
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        MatchMax p;
-        for (std::size_t i = begin; i < end; ++i) {
-          const Trajectory& trajectory = data[i];
-          // log-space product to survive long horizons.
-          double log_weight = 0;
-          bool dead = false;
-          for (const auto& step : trajectory.steps) {
-            const double pi_a = policy.probability(step.context, step.action);
-            if (pi_a <= 0) {
-              dead = true;
-              break;
-            }
-            log_weight += std::log(pi_a) - std::log(step.propensity);
+  detail::check_compatible(data, policy);
+  detail::Pass pass =
+      detail::sweep_rows(data, [&](std::size_t i, const detail::Scratch&) {
+        const Trajectory& trajectory = data[i];
+        // log-space product to survive long horizons.
+        double log_weight = 0;
+        bool dead = false;
+        for (const auto& step : trajectory.steps) {
+          const double pi_a = policy.probability(step.context, step.action);
+          if (pi_a <= 0) {
+            dead = true;
+            break;
           }
-          const double weight = dead ? 0.0 : std::exp(log_weight);
-          if (!dead) ++p.matched;
-          weights[i] = weight;
-          contributions[i] = weight * trajectory.mean_reward();
-          p.max_abs = std::max(p.max_abs, std::abs(contributions[i]));
+          log_weight += std::log(pi_a) - std::log(step.propensity);
         }
-        return p;
-      },
-      merge_match_max);
-  if (self_normalized_) self_normalize(contributions, weights);
-  const double range =
-      self_normalized_ ? data.reward_range().width() : 2 * tally.max_abs;
-  return finish(contributions, tally.matched, delta, range);
+        const double weight = dead ? 0.0 : std::exp(log_weight);
+        return detail::Row{weight * trajectory.mean_reward(), weight, !dead,
+                           false};
+      });
+  return finish_sampled(pass, data, self_normalized_, delta);
 }
 
 PerDecisionIpsEstimator::PerDecisionIpsEstimator(bool self_normalized)
@@ -129,42 +80,27 @@ std::string PerDecisionIpsEstimator::name() const {
 Estimate PerDecisionIpsEstimator::evaluate(const TrajectoryDataset& data,
                                            const Policy& policy,
                                            double delta) const {
-  check_compatible(data, policy);
-  const std::size_t m = data.size();
-  std::vector<double> contributions(m), weights(m);
-  const MatchMax tally = par::parallel_reduce(
-      par::default_pool(), trajectory_plan(m), MatchMax{},
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        MatchMax p;
-        for (std::size_t i = begin; i < end; ++i) {
-          const Trajectory& trajectory = data[i];
-          double cumulative = 1.0;  // rho_{1:t}, updated stepwise
-          double total = 0;
-          double weight_mass = 0;  // mean of per-step cumulative weights
-          bool any_match = false;
-          for (const auto& step : trajectory.steps) {
-            if (cumulative > 0) {
-              const double pi_a =
-                  policy.probability(step.context, step.action);
-              cumulative *= pi_a / step.propensity;
-            }
-            total += cumulative * step.reward;
-            weight_mass += cumulative;
-            any_match = any_match || cumulative > 0;
+  detail::check_compatible(data, policy);
+  detail::Pass pass =
+      detail::sweep_rows(data, [&](std::size_t i, const detail::Scratch&) {
+        const Trajectory& trajectory = data[i];
+        double cumulative = 1.0;  // rho_{1:t}, updated stepwise
+        double total = 0;
+        double weight_mass = 0;  // mean of per-step cumulative weights
+        bool any_match = false;
+        for (const auto& step : trajectory.steps) {
+          if (cumulative > 0) {
+            const double pi_a = policy.probability(step.context, step.action);
+            cumulative *= pi_a / step.propensity;
           }
-          const auto h = static_cast<double>(trajectory.horizon());
-          if (any_match) ++p.matched;
-          contributions[i] = total / h;
-          weights[i] = weight_mass / h;
-          p.max_abs = std::max(p.max_abs, std::abs(contributions[i]));
+          total += cumulative * step.reward;
+          weight_mass += cumulative;
+          any_match = any_match || cumulative > 0;
         }
-        return p;
-      },
-      merge_match_max);
-  if (self_normalized_) self_normalize(contributions, weights);
-  const double range =
-      self_normalized_ ? data.reward_range().width() : 2 * tally.max_abs;
-  return finish(contributions, tally.matched, delta, range);
+        const auto h = static_cast<double>(trajectory.horizon());
+        return detail::Row{total / h, weight_mass / h, any_match, false};
+      });
+  return finish_sampled(pass, data, self_normalized_, delta);
 }
 
 SequenceDoublyRobustEstimator::SequenceDoublyRobustEstimator(
@@ -182,35 +118,32 @@ std::string SequenceDoublyRobustEstimator::name() const {
 Estimate SequenceDoublyRobustEstimator::evaluate(const TrajectoryDataset& data,
                                                  const Policy& policy,
                                                  double delta) const {
-  check_compatible(data, policy);
-  if (model_->num_actions() != data.num_actions()) {
-    throw std::invalid_argument("SequenceDoublyRobustEstimator: model/action "
-                                "set size mismatch");
-  }
-  // Pass 1: cumulative ratios rho_{1:t} per trajectory, and (for the WDR
-  // variant, Thomas & Brunskill 2016) their per-step means across
-  // trajectories, used to normalize each step's weights. The per-step sums
-  // accumulate per shard and merge in shard order, so the value is fixed
-  // for any thread count.
+  detail::check_compatible(data, policy, model_.get());
+  // Pass 1: cumulative ratios rho_{1:t} per trajectory, laid end to end
+  // from offset[i], and (for the WDR variant, Thomas & Brunskill 2016)
+  // their per-step means across trajectories, used to normalize each
+  // step's weights. The per-step sums accumulate per shard and merge in
+  // shard order, so the value is fixed for any thread count.
   const std::size_t m = data.size();
-  std::vector<std::vector<double>> ratios(m);
+  std::vector<std::size_t> offset(m + 1, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    offset[i + 1] = offset[i] + data[i].horizon();
+  }
+  std::vector<double> ratios(offset[m]);
   const std::size_t max_h = data.max_horizon();
   struct StepSums {
     std::vector<double> mean;
     std::vector<std::size_t> count;
-    std::size_t matched = 0;
   };
-  const par::ShardPlan plan = trajectory_plan(m);
   StepSums totals = par::parallel_reduce(
-      par::default_pool(), plan,
+      par::default_pool(), detail::trajectory_plan(m),
       StepSums{std::vector<double>(max_h, 0.0),
-               std::vector<std::size_t>(max_h, 0), 0},
+               std::vector<std::size_t>(max_h, 0)},
       [&](std::size_t, std::size_t begin, std::size_t end) {
         StepSums p{std::vector<double>(max_h, 0.0),
-                   std::vector<std::size_t>(max_h, 0), 0};
+                   std::vector<std::size_t>(max_h, 0)};
         for (std::size_t i = begin; i < end; ++i) {
           const Trajectory& trajectory = data[i];
-          ratios[i].reserve(trajectory.horizon());
           double cumulative = 1.0;
           for (std::size_t t = 0; t < trajectory.horizon(); ++t) {
             const auto& step = trajectory.steps[t];
@@ -218,11 +151,10 @@ Estimate SequenceDoublyRobustEstimator::evaluate(const TrajectoryDataset& data,
               cumulative *= policy.probability(step.context, step.action) /
                             step.propensity;
             }
-            ratios[i].push_back(cumulative);
+            ratios[offset[i] + t] = cumulative;
             p.mean[t] += cumulative;
             ++p.count[t];
           }
-          if (!ratios[i].empty() && ratios[i].front() > 0) ++p.matched;
         }
         return p;
       },
@@ -231,7 +163,6 @@ Estimate SequenceDoublyRobustEstimator::evaluate(const TrajectoryDataset& data,
           acc.mean[t] += p.mean[t];
           acc.count[t] += p.count[t];
         }
-        acc.matched += p.matched;
         return acc;
       });
   std::vector<double>& step_mean = totals.mean;
@@ -241,47 +172,40 @@ Estimate SequenceDoublyRobustEstimator::evaluate(const TrajectoryDataset& data,
     }
   }
   auto normalized = [&](std::size_t i, std::size_t t) -> double {
-    const double w = ratios[i][t];
+    const double w = ratios[offset[i] + t];
     if (!self_normalized_) return w;
     return step_mean[t] > 0 ? w / step_mean[t] : 0.0;
   };
 
-  // Pass 2: per-trajectory DR contributions (one slot per trajectory).
-  std::vector<double> contributions(m);
-  const double max_abs = par::parallel_reduce(
-      par::default_pool(), plan, 1e-12,
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        double shard_max = 1e-12;
-        std::vector<double> dist(data.num_actions());
-        std::vector<double> rhat(data.num_actions());
-        for (std::size_t i = begin; i < end; ++i) {
-          const Trajectory& trajectory = data[i];
-          double total = 0;
-          for (std::size_t t = 0; t < trajectory.horizon(); ++t) {
-            const auto& step = trajectory.steps[t];
-            const double v_hat = expected_model_reward(
-                *model_, policy, step.context, dist, rhat);
-            const double q_hat = rhat[step.action];
-            const double w_prev =
-                t == 0 ? 1.0 : normalized(i, t - 1);
-            const double w = normalized(i, t);
-            total += w_prev * v_hat + w * (step.reward - q_hat);
-          }
-          contributions[i] =
-              total / static_cast<double>(trajectory.horizon());
-          shard_max = std::max(shard_max, std::abs(contributions[i]));
+  // Pass 2: the per-trajectory DR contributions on the row pass.
+  const detail::Pass pass =
+      detail::sweep_rows(data, [&](std::size_t i, const detail::Scratch& s) {
+        const Trajectory& trajectory = data[i];
+        double total = 0;
+        for (std::size_t t = 0; t < trajectory.horizon(); ++t) {
+          const auto& step = trajectory.steps[t];
+          const double v_hat =
+              detail::model_row(*model_, policy, step.context, s).contribution;
+          const double q_hat = s.rhat[step.action];
+          const double w_prev = t == 0 ? 1.0 : normalized(i, t - 1);
+          const double w = normalized(i, t);
+          total += w_prev * v_hat + w * (step.reward - q_hat);
         }
-        return shard_max;
-      },
-      [](double acc, double p) { return std::max(acc, p); });
-  const double range = std::max(data.reward_range().width(), 2 * max_abs);
-  return finish(contributions, totals.matched, delta, range);
+        const bool matched =
+            trajectory.horizon() > 0 && ratios[offset[i]] > 0;
+        return detail::Row{
+            total / static_cast<double>(trajectory.horizon()), 0, matched,
+            false};
+      });
+  const double range = std::max(data.reward_range().width(),
+                                2 * std::max(pass.max_abs, 1e-12));
+  return detail::finish(pass, delta, range);
 }
 
 Estimate StepwiseIpsAdapter::evaluate(const TrajectoryDataset& data,
                                       const Policy& policy,
                                       double delta) const {
-  check_compatible(data, policy);
+  detail::check_compatible(data, policy);
   // Flatten and delegate to the single-step estimator of §4 (which is
   // itself parallel over the flattened points).
   ExplorationDataset flat(data.num_actions(), data.reward_range());

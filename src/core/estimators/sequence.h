@@ -31,10 +31,6 @@ class SequenceEstimator {
                             const Policy& policy,
                             double delta = 0.05) const = 0;
   virtual std::string name() const = 0;
-
- protected:
-  static void check_compatible(const TrajectoryDataset& data,
-                               const Policy& policy);
 };
 
 /// Full-trajectory importance sampling: one weight per episode, the product

@@ -23,21 +23,16 @@ OpeDiagnostics finish_weights(const std::vector<double>& weights,
   diag.clip_weight = clip_weight;
   if (weights.empty()) return diag;
 
-  double sum = 0, sum_sq = 0, max_w = 0;
-  std::size_t clipped = 0;
-  for (double w : weights) {
-    sum += w;
-    sum_sq += w * w;
-    max_w = std::max(max_w, w);
-    if (w > clip_weight) ++clipped;
-  }
-  diag.max_weight = max_w;
-  diag.mean_weight = sum / static_cast<double>(weights.size());
-  diag.ess = sum_sq > 0 ? (sum * sum) / sum_sq
-                        : static_cast<double>(weights.size());
-  diag.ess_fraction = diag.ess / static_cast<double>(weights.size());
-  diag.clipped_fraction =
-      static_cast<double>(clipped) / static_cast<double>(weights.size());
+  const stats::WeightSummary summary = stats::summarize_weights(weights);
+  const auto n = static_cast<double>(weights.size());
+  diag.max_weight = summary.max;
+  diag.mean_weight = summary.sum / n;
+  diag.ess = summary.ess();
+  diag.ess_fraction = diag.ess / n;
+  const auto clipped =
+      std::count_if(weights.begin(), weights.end(),
+                    [&](double w) { return w > clip_weight; });
+  diag.clipped_fraction = static_cast<double>(clipped) / n;
   return diag;
 }
 

@@ -43,4 +43,19 @@ double Summary::stderr_mean() const {
   return count_ < 2 ? 0.0 : stddev() / std::sqrt(static_cast<double>(count_));
 }
 
+double WeightSummary::ess() const {
+  return sum_sq > 0 ? (sum * sum) / sum_sq : static_cast<double>(count);
+}
+
+WeightSummary summarize_weights(std::span<const double> weights) {
+  WeightSummary s;
+  s.count = weights.size();
+  for (double w : weights) {
+    s.sum += w;
+    s.sum_sq += w * w;
+    if (w > s.max) s.max = w;
+  }
+  return s;
+}
+
 }  // namespace harvest::stats

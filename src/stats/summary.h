@@ -1,8 +1,10 @@
-// Streaming moment accumulation (Welford) used by every metric recorder.
+// Streaming moment accumulation (Welford) used by every metric recorder,
+// and the one summary of importance weights.
 #pragma once
 
 #include <cstddef>
 #include <limits>
+#include <span>
 
 namespace harvest::stats {
 
@@ -34,5 +36,19 @@ class Summary {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
+
+/// Importance-weight health, summed in order: the figures behind
+/// core::Estimate's ess/max_weight and obs::OpeDiagnostics.
+struct WeightSummary {
+  std::size_t count = 0;
+  double sum = 0;
+  double sum_sq = 0;
+  double max = 0;  ///< largest weight; 0 when none is positive
+
+  /// Kish effective sample size (Σw)²/Σw²; the count when Σw² is 0.
+  double ess() const;
+};
+
+WeightSummary summarize_weights(std::span<const double> weights);
 
 }  // namespace harvest::stats

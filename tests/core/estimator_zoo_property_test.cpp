@@ -10,13 +10,18 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/estimators/direct.h"
 #include "core/estimators/ips.h"
+#include "core/estimators/sequence.h"
 #include "core/estimators/switch.h"
 #include "core/policies/basic.h"
 #include "core/reward_model.h"
+#include "core/trajectory.h"
+#include "par/parallel.h"
 #include "par/thread_pool.h"
 #include "testing/fixtures.h"
 
@@ -197,6 +202,59 @@ TEST(ZooThreadInvariance, EveryEstimatorBitIdenticalAcrossThreadCounts) {
     for (std::size_t e = 0; e < zoo.size(); ++e) {
       SCOPED_TRACE(zoo[e]->name() + " at threads=" + std::to_string(threads));
       expect_identical(baseline[e], zoo[e]->evaluate(exp, *candidate));
+    }
+  }
+  par::set_default_threads(1);
+}
+
+TEST(ZooThreadInvariance, SequenceEstimatorsBitIdenticalAcrossThreadCounts) {
+  // 1,000 trajectories make 15 shards of par::ShardPlan::fixed(m, 64), so
+  // the per-trajectory fill and sequence DR's per-step sums both merge
+  // across shards. p1 = 0.3 gives heterogeneous propensities.
+  util::Rng rng(9200);
+  const TrajectoryDataset data =
+      harvest::testing::simulate_chain(1000, 6, 0.3, rng);
+  ASSERT_GE(par::ShardPlan::fixed(data.size(), 64).num_shards, 4u);
+  // Always-0 matches some whole trajectories; the threshold policy mixes
+  // actions along a trajectory.
+  const std::vector<PolicyPtr> candidates{
+      std::make_shared<ConstantPolicy>(2, 0),
+      std::make_shared<FunctionPolicy>(
+          2, [](const FeatureVector& x) { return x[0] > 0.3 ? 0u : 1u; },
+          "threshold"),
+      std::make_shared<UniformRandomPolicy>(2)};
+  ExplorationDataset flat(2, data.reward_range());
+  for (const auto& trajectory : data.trajectories()) {
+    for (const auto& step : trajectory.steps) flat.add(step);
+  }
+  const auto model =
+      std::make_shared<RidgeRewardModel>(fit_ridge(flat, 1.0, true));
+
+  std::vector<std::shared_ptr<const SequenceEstimator>> zoo;
+  for (const bool weighted : {false, true}) {
+    zoo.push_back(std::make_shared<TrajectoryIpsEstimator>(weighted));
+    zoo.push_back(std::make_shared<PerDecisionIpsEstimator>(weighted));
+    zoo.push_back(
+        std::make_shared<SequenceDoublyRobustEstimator>(model, weighted));
+  }
+  zoo.push_back(std::make_shared<StepwiseIpsAdapter>());
+
+  par::set_default_threads(1);
+  std::vector<Estimate> baseline;
+  for (const auto& est : zoo) {
+    for (const PolicyPtr& candidate : candidates) {
+      baseline.push_back(est->evaluate(data, *candidate));
+    }
+  }
+  for (const std::size_t threads : {2u, 8u}) {
+    par::set_default_threads(threads);
+    std::size_t k = 0;
+    for (const auto& est : zoo) {
+      for (const PolicyPtr& candidate : candidates) {
+        SCOPED_TRACE(est->name() + " over " + candidate->name() +
+                     " at threads=" + std::to_string(threads));
+        expect_identical(baseline[k++], est->evaluate(data, *candidate));
+      }
     }
   }
   par::set_default_threads(1);

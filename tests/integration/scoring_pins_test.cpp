@@ -1,9 +1,10 @@
 // Pins the exact outputs of every path that scores contexts with linear
 // weights: a logging plan's JSON, a retrained snapshot's bytes, the
 // (action, propensity) streams of an eps-greedy and of a planned snapshot,
-// and the LinearPolicy::choose stream. Each output is reduced to its length
-// and CRC32C, so a change to scoring order, tie-break or stratum assignment
-// shows up here as a changed constant.
+// the LinearPolicy::choose stream, and every field of every off-policy
+// estimate over a fixed harvest. Each output is reduced to its length and
+// CRC32C, so a change to scoring order, tie-break, stratum assignment or an
+// estimator's floating-point order shows up here as a changed constant.
 //
 // The weights and contexts are quarter and half multiples for half the
 // rows, so exact ties between actions occur; the other rows are continuous.
@@ -14,7 +15,9 @@
 // bit and correctly rounded IEEE-754 operations (the ridge fit's Cholesky
 // uses sqrt), so those pins hold on any IEEE-754 host. The planner's
 // adversary step also calls std::exp, so the plan pin assumes the libm the
-// constants were recorded with (glibc, x86-64).
+// constants were recorded with (glibc, x86-64), and so do the estimate
+// pins: every confidence interval calls std::log, and trajectory weights
+// std::log and std::exp.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -22,11 +25,17 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/estimators/direct.h"
+#include "core/estimators/ips.h"
+#include "core/estimators/sequence.h"
+#include "core/estimators/switch.h"
 #include "core/policies/basic.h"
 #include "core/policies/greedy.h"
 #include "core/reward_model.h"
+#include "core/trajectory.h"
 #include "design/planner.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
@@ -135,6 +144,40 @@ core::ExplorationDataset uniform_harvest(std::size_t n) {
   return data;
 }
 
+/// The same contexts and reward function, logged eps-greedy (eps = 0.3)
+/// around the pinned linear policy: propensities are 0.76 on its choice and
+/// 0.06 elsewhere, so importance weights reach 16.7.
+core::ExplorationDataset eps_greedy_harvest(std::size_t n) {
+  const std::vector<double> x = contexts();
+  const core::EpsilonGreedyPolicy logging(
+      std::make_shared<core::LinearPolicy>(weight_rows()), 0.3);
+  util::Rng rng(1705);
+  core::ExplorationDataset data(kActions, {-4.0, 4.0});
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const double> ctx(x.data() + i * kDim, kDim);
+    const core::FeatureVector context(
+        std::vector<double>(ctx.begin(), ctx.end()));
+    const core::ActionId a = logging.act(context, rng);
+    const double r = 0.1 * static_cast<double>(a) +
+                     0.25 * ctx[a % kDim] - 0.125 * ctx[(a + 1) % kDim] +
+                     rng.uniform(-0.5, 0.5);
+    data.add({context, a, r, logging.probability(context, a)});
+  }
+  return data;
+}
+
+/// Every field of an estimate, bit for bit.
+void append_estimate(std::string& out, const core::Estimate& e) {
+  append_f64(out, e.value);
+  append_u32(out, static_cast<std::uint32_t>(e.n));
+  append_u32(out, static_cast<std::uint32_t>(e.matched));
+  for (const double v :
+       {e.stderr_value, e.normal_ci.lo, e.normal_ci.hi, e.bernstein_ci.lo,
+        e.bernstein_ci.hi, e.ess, e.max_weight, e.clipped_fraction}) {
+    append_f64(out, v);
+  }
+}
+
 std::string decision_stream(const serve::PolicySnapshot& snapshot) {
   const std::vector<double> x = contexts();
   util::Rng rng(1704);
@@ -196,6 +239,64 @@ TEST(ScoringPinsTest, LinearPolicyChoiceStreamIsPinned) {
                         x.begin() + i * kDim, x.begin() + (i + 1) * kDim))));
   }
   expect_pinned(out, {40000, 1186609813u}, "LinearPolicy stream");
+}
+
+TEST(ScoringPinsTest, EstimatesArePinned) {
+  const core::ExplorationDataset data = eps_greedy_harvest(kContexts);
+  auto model = std::make_shared<core::RidgeRewardModel>(
+      core::fit_ridge(data, 1.0, true));
+  auto greedy = std::make_shared<core::GreedyPolicy>(model, "trained-greedy");
+  const std::vector<core::PolicyPtr> candidates{
+      greedy, std::make_shared<core::LinearPolicy>(weight_rows()),
+      std::make_shared<core::ConstantPolicy>(kActions, 3),
+      std::make_shared<core::EpsilonGreedyPolicy>(greedy, 0.1)};
+  // A weight cap of 5 clips every matched exploration draw (weight 16.7);
+  // tau = 0.1 sends those same draws (p = 0.06) to the model.
+  const std::pair<std::shared_ptr<const core::OffPolicyEstimator>, Pin>
+      points[] = {
+          {std::make_shared<core::IpsEstimator>(), {320, 2150738195u}},
+          {std::make_shared<core::ClippedIpsEstimator>(5.0), {320, 2065336764u}},
+          {std::make_shared<core::SnipsEstimator>(), {320, 2017023179u}},
+          {std::make_shared<core::DirectMethodEstimator>(model), {320, 1586314688u}},
+          {std::make_shared<core::DoublyRobustEstimator>(model), {320, 154889257u}},
+          {std::make_shared<core::SwitchEstimator>(model, 0.1), {320, 662424022u}},
+      };
+  // The cap and the threshold act on some records, not all.
+  for (const std::size_t e : {1u, 5u}) {
+    const double flagged =
+        points[e].first->evaluate(data, *greedy).clipped_fraction;
+    EXPECT_GT(flagged, 0.0) << points[e].first->name();
+    EXPECT_LT(flagged, 1.0) << points[e].first->name();
+  }
+  for (const auto& [estimator, pin] : points) {
+    std::string out;
+    for (const core::PolicyPtr& candidate : candidates) {
+      append_estimate(out, estimator->evaluate(data, *candidate));
+    }
+    expect_pinned(out, pin, estimator->name().c_str());
+  }
+
+  const core::TrajectoryDataset trajectories =
+      core::chop_into_trajectories(data, 5);
+  const std::pair<std::shared_ptr<const core::SequenceEstimator>, Pin>
+      sequences[] = {
+          {std::make_shared<core::TrajectoryIpsEstimator>(false), {320, 1173830618u}},
+          {std::make_shared<core::TrajectoryIpsEstimator>(true), {320, 2373184251u}},
+          {std::make_shared<core::PerDecisionIpsEstimator>(false), {320, 574590777u}},
+          {std::make_shared<core::PerDecisionIpsEstimator>(true), {320, 1089717354u}},
+          {std::make_shared<core::SequenceDoublyRobustEstimator>(model, false),
+           {320, 1913724366u}},
+          {std::make_shared<core::SequenceDoublyRobustEstimator>(model, true),
+           {320, 2906684304u}},
+          {std::make_shared<core::StepwiseIpsAdapter>(), {320, 2150738195u}},
+      };
+  for (const auto& [estimator, pin] : sequences) {
+    std::string out;
+    for (const core::PolicyPtr& candidate : candidates) {
+      append_estimate(out, estimator->evaluate(trajectories, *candidate));
+    }
+    expect_pinned(out, pin, estimator->name().c_str());
+  }
 }
 
 }  // namespace

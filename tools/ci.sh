@@ -10,7 +10,8 @@
 # Stages run fast-to-slow so cheap failures surface first:
 #   unit -> property -> integration -> stress
 # then the unlabeled tests (tool smoke tests), then a determinism smoke:
-# fig3 at --threads 1 vs --threads 8 must emit byte-identical stdout.
+# fig3 at --threads 1 vs --threads 8 must emit byte-identical stdout, and
+# the estimator benches' shape checks.
 #
 # The build tree goes to build-ci[-<sanitizer>] so it never collides with a
 # developer's ./build. The main tree and the TSan sub-build compile with
@@ -57,6 +58,15 @@ if ! diff -q "$T1_OUT" "$T8_OUT" > /dev/null; then
   exit 1
 fi
 echo "ok: byte-identical output at 1 and 8 threads"
+
+echo "==> estimator shape checks: ablation_estimators, ext_sequence_ope"
+# The only programs that run DM, clipped IPS, SWITCH and the sequence
+# estimators end to end; each exits 1 when one of its [ok] checks fails.
+for bench in ablation_estimators ext_sequence_ope; do
+  "$BUILD_DIR/bench/$bench" --fast > "$T1_OUT" \
+    || { cat "$T1_OUT" >&2; echo "FAIL: $bench shape check" >&2; exit 1; }
+done
+echo "ok: every estimator shape check holds"
 
 echo "==> chaos ingestion: corrupted-log sweep + injection-off identity"
 # The hardened read path must degrade gracefully on corrupted logs (the

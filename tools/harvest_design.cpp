@@ -53,18 +53,13 @@ namespace {
 using namespace harvest;
 using tools::Environment;
 
-/// Importance-weighted ridge fit on a harvest — the same fit the serve
-/// trainer publishes, exposed here so the planner and the candidate set are
-/// built from exactly what the serving layer would deploy.
+/// Importance-weighted ridge fit on a harvest — the sharded core::fit_ridge
+/// that serve::SnapshotTrainer::train_on publishes, so the planner and the
+/// candidate set are built from exactly what the serving layer would deploy.
 std::shared_ptr<core::RidgeRewardModel> fit_model(
-    const core::ExplorationDataset& data, std::size_t dim) {
-  auto model = std::make_shared<core::RidgeRewardModel>(data.num_actions(),
-                                                        dim, 1.0);
-  for (const auto& pt : data.points()) {
-    model->observe(pt.context, pt.action, pt.reward, 1.0 / pt.propensity);
-  }
-  model->fit();
-  return model;
+    const core::ExplorationDataset& data) {
+  return std::make_shared<core::RidgeRewardModel>(
+      core::fit_ridge(data, 1.0, /*importance_weighted=*/true));
 }
 
 /// The evaluation suite the plan must protect: the trained greedy policy
@@ -224,7 +219,7 @@ int main(int argc, char** argv) {
     }
     std::printf("harvested %zu tuples from %s\n", data.size(),
                 harvest_dir.c_str());
-    const auto model = fit_model(data, dim);
+    const auto model = fit_model(data);
     const std::span<const double> reference = model->coefficients();
     const design::PlannerReport report = design::plan_logging(
         data, make_candidates(model), *model,
@@ -263,7 +258,7 @@ int main(int argc, char** argv) {
               harvest0.size(), uniform_mean);
 
   // Phase 2: fit, choose candidates, plan.
-  const auto model = fit_model(harvest0, dim);
+  const auto model = fit_model(harvest0);
   const std::vector<core::PolicyPtr> candidates = make_candidates(model);
   const std::span<const double> reference = model->coefficients();
   const design::PlannerReport report = design::plan_logging(
